@@ -284,6 +284,19 @@ impl BufferRegistry {
             .collect()
     }
 
+    /// Detaches every live port from its connection. Ports and
+    /// connections hold each other strongly (a connection keeps its
+    /// endpoint ports, a port keeps its connection), so the simulation
+    /// calls this on drop to break the cycles and free the machine.
+    pub(crate) fn detach_ports(&self) {
+        let Ok(ports) = self.ports.try_borrow() else {
+            return;
+        };
+        for probe in ports.iter().filter_map(Weak::upgrade) {
+            probe.detach_conn();
+        }
+    }
+
     /// Number of live buffers.
     pub fn len(&self) -> usize {
         self.entries

@@ -270,6 +270,11 @@ pub struct SimControl {
     /// Readable without the engine thread's cooperation, so a monitor can
     /// report the crash even if post-mortem serving is unavailable.
     crash: Mutex<Option<CrashInfo>>,
+    /// Woken on every run-state transition (never per event), so a
+    /// watcher such as the stall watchdog reacts to the engine going idle
+    /// at once instead of polling for it. Closed channels are pruned on
+    /// the next transition.
+    state_watchers: Mutex<Vec<Sender<()>>>,
 }
 
 impl SimControl {
@@ -317,8 +322,26 @@ impl SimControl {
         self.now_ps.store(now.ps(), Ordering::Relaxed);
     }
 
+    /// Publishes the run state; a transition wakes every state watcher.
+    /// Called on state changes only (run start/end, pause, idle), never
+    /// per event.
     pub(crate) fn set_state(&self, s: RunState) {
-        self.state.store(s as u8, Ordering::Relaxed);
+        if self.state.swap(s as u8, Ordering::Relaxed) != s as u8 {
+            self.state_watchers
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .retain(|tx| tx.send(()).is_ok());
+        }
+    }
+
+    /// Sends `()` on `tx` after every future run-state transition, until
+    /// the receiver is dropped. The channel's happens-before edge makes
+    /// the new state visible to [`SimControl::state`] on receipt.
+    pub fn watch_state(&self, tx: Sender<()>) {
+        self.state_watchers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(tx);
     }
 
     /// A [`QueryClient`] is about to put a query on the channel.
@@ -1301,6 +1324,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        // Break the port <-> connection reference cycles; without this
+        // every dropped machine leaks its wiring and everything the
+        // connections reach.
+        self.buffers.detach_ports();
     }
 }
 

@@ -50,6 +50,9 @@ pub struct PortSnapshot {
 /// The registry's view of a port (mirrors the buffer probe mechanism).
 pub(crate) trait PortProbe {
     fn port_snapshot(&self) -> PortSnapshot;
+
+    /// Drops the port's strong reference to its connection.
+    fn detach_conn(&self);
 }
 
 struct ProbeImpl {
@@ -67,6 +70,12 @@ impl PortProbe for ProbeImpl {
             connection: inner.conn.as_ref().map(|(_, id)| *id),
             buf_len: self.incoming.len(),
             buf_cap: self.incoming.capacity(),
+        }
+    }
+
+    fn detach_conn(&self) {
+        if let Ok(mut inner) = self.inner.try_borrow_mut() {
+            inner.conn = None;
         }
     }
 }

@@ -423,6 +423,12 @@ impl QueryClient {
         self.ctrl.state()
     }
 
+    /// Sends `()` on `tx` after every run-state transition (see
+    /// [`SimControl::watch_state`]).
+    pub fn watch_state(&self, tx: Sender<()>) {
+        self.ctrl.watch_state(tx);
+    }
+
     /// Total events dispatched (lock-free, no engine round-trip).
     pub fn events_handled(&self) -> u64 {
         self.ctrl.events_handled()

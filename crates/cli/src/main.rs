@@ -69,8 +69,9 @@ OPTIONS:
                             of killing the process
     --watchdog              run under the stall watchdog: auto-detects
                             livelocks, backpressure deadlocks, and drained
-                            queues; without --hold a genuine stall ends
-                            the run
+                            queues; without --hold the run exits as soon
+                            as the workload drains, and a genuine stall
+                            ends it
     --json                  (analyze) print the final LintReport as JSON
     --out <file.json>       (trace) output path (default: trace.json)
     -h, --help              show this help

@@ -1,9 +1,10 @@
 //! A small threaded HTTP/1.1 server on `std::net` only.
 //!
 //! The offline build environment has no async stack, so the web backend
-//! runs on plain blocking sockets: one acceptor thread polls a
-//! non-blocking listener (so shutdown needs no self-connect tricks), and
-//! each accepted connection is handled on its own short-lived thread —
+//! runs on plain blocking sockets: one acceptor thread blocks in
+//! `accept` (so a request is picked up the moment it arrives; shutdown
+//! wakes it with a self-connect), and each accepted connection is
+//! handled on its own short-lived thread —
 //! handlers may block for seconds on an engine query without stalling
 //! other dashboard clients. Every response carries `Content-Length` and
 //! `Connection: close`, which both browsers and the in-tree
@@ -17,7 +18,7 @@
 //! shutdown is bounded even with an idle client attached.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -440,7 +441,6 @@ impl HttpServer {
         H: Fn(&Request) -> Response + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(Connections::default());
@@ -464,12 +464,26 @@ impl HttpServer {
     }
 
     /// Signals the acceptor to stop, force-closes live connections, and
-    /// joins every connection thread. Bounded: blocked reads and writes
-    /// error out immediately once their sockets are shut down.
+    /// joins every connection thread. Bounded: a self-connect wakes the
+    /// blocked `accept`, and blocked reads and writes error out
+    /// immediately once their sockets are shut down.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.conns.shutdown_all();
-        if let Some(t) = self.thread.take() {
+        let Some(t) = self.thread.take() else {
+            return;
+        };
+        // A wildcard bind is reachable on loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Without the wake-up the acceptor would block until the next
+        // client, so it is joined only once the self-connect landed.
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
             let _ = t.join();
         }
     }
@@ -516,9 +530,8 @@ fn accept_loop<H>(
                     workers.push(h);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A persistent accept error (e.g. out of file descriptors)
+            // backs off instead of spinning; it costs no request latency.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
         workers.retain(|h| !h.is_finished());
@@ -535,7 +548,6 @@ fn handle_connection<H>(mut stream: TcpStream, config: HttpConfig, handler: &H)
 where
     H: Fn(&Request) -> Response,
 {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_nodelay(true);
@@ -782,5 +794,31 @@ mod tests {
             start.elapsed()
         );
         drop(idle);
+    }
+
+    /// `stop()` on an idle server with no client ever connected returns
+    /// promptly: the self-connect wakes the acceptor blocked in `accept`.
+    #[test]
+    fn stop_on_an_idle_server_is_bounded() {
+        let mut server = echo_server(HttpConfig::default());
+        let start = Instant::now();
+        server.stop();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "stop took {:?} with no clients",
+            start.elapsed()
+        );
+    }
+
+    /// A wildcard bind is woken through loopback.
+    #[test]
+    fn stop_on_a_wildcard_bind_is_bounded() {
+        let mut server = HttpServer::serve("0.0.0.0:0".parse().unwrap(), |_: &Request| {
+            Response::text(200, "ok")
+        })
+        .expect("bind");
+        let start = Instant::now();
+        server.stop();
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

@@ -4,10 +4,14 @@
 //! bar, manually poking the buffer analyzer to find a deadlock. The
 //! watchdog automates the noticing: a background thread samples the
 //! engine's lock-free heartbeats (event count, virtual time, run state)
-//! every `interval`, and when neither advances for `stall_checks`
-//! consecutive samples it declares a stall, classifies it, optionally
-//! pauses the simulation, and fires a synthetic alert
-//! ([`crate::AlertEngine::fire_external`]).
+//! every `interval` and on every run-state transition. An engine that
+//! goes idle with an empty event queue is quiesced — nothing changes
+//! without outside input — so it is classified on that transition. A
+//! running engine (or one idled by a `run_until` deadline with events
+//! still queued) is declared stalled when neither heartbeat advances for
+//! `stall_checks` consecutive samples. On a stall the watchdog classifies
+//! it, optionally pauses or stops the simulation, and fires a synthetic
+//! alert ([`crate::AlertEngine::fire_external`]).
 //!
 //! Classification (see [`StallKind`]):
 //!
@@ -29,12 +33,13 @@
 //! stall itself trips.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use akita::{QueryClient, RunState, VTime};
+use akita::{EngineStatus, QueryClient, QueryError, RunState, VTime};
 use serde::{Deserialize, Serialize};
 
 use crate::alerts::AlertEngine;
@@ -48,7 +53,8 @@ pub struct WatchdogConfig {
     /// Heartbeat sampling period.
     pub interval: Duration,
     /// Consecutive no-progress checks before a stall is declared. The
-    /// detection window is therefore `interval * stall_checks`.
+    /// livelock detection window is therefore `interval * stall_checks`;
+    /// a quiesced engine (idle, empty queue) is declared without it.
     pub stall_checks: u32,
     /// Pause the simulation when a stall is declared (freeze the crime
     /// scene for the dashboard).
@@ -184,6 +190,8 @@ struct Shared {
     alerts: Arc<AlertEngine>,
     config: WatchdogConfig,
     state: Mutex<WatchState>,
+    /// Set on drop, before the final wake-up.
+    stopping: AtomicBool,
 }
 
 impl Shared {
@@ -214,6 +222,16 @@ impl Shared {
             st.dwell = next;
         }
 
+        // Idle with an empty queue is quiesced: nothing can change without
+        // outside input, so it is classified at once instead of waiting
+        // out `stall_checks`. Idle with queued events (a `run_until`
+        // deadline) needs the time window like a running engine does.
+        let status = (state == RunState::Idle).then(|| self.client.status());
+        let quiesced = matches!(
+            status,
+            Some(Ok(s)) if s.state == RunState::Idle && s.queue_len == 0
+        );
+
         // Paused / finished / crashed are not stalls: the engine is not
         // *trying* to make progress.
         if progressed
@@ -223,20 +241,26 @@ impl Shared {
             )
         {
             st.streak = 0;
-            return None;
+            if !quiesced {
+                return None;
+            }
         }
         st.streak += 1;
-        if st.streak < self.config.stall_checks.max(1) || st.stall.is_some() {
+        if st.stall.is_some() || (!quiesced && st.streak < self.config.stall_checks.max(1)) {
             return None;
         }
 
-        let mut report = self.classify(events, now_ps, state, st.streak);
+        let status = status.unwrap_or_else(|| self.client.status());
+        let mut report = self.classify(status, events, now_ps, state, st.streak);
         if self.config.auto_pause {
             self.client.pause();
             report.paused = true;
         }
         if self.config.stop_on_stall {
             self.client.request_stop();
+            // Wakes an engine blocked in its idle loop, so the run returns
+            // now rather than at its next poll of the stop flag.
+            let _ = self.client.terminate();
             report.stop_requested = true;
         }
         let field: &str = match report.kind {
@@ -255,7 +279,14 @@ impl Shared {
         Some(report)
     }
 
-    fn classify(&self, events: u64, now_ps: u64, state: RunState, streak: u32) -> StallReport {
+    fn classify(
+        &self,
+        status: Result<EngineStatus, QueryError>,
+        events: u64,
+        now_ps: u64,
+        state: RunState,
+        streak: u32,
+    ) -> StallReport {
         let mut report = StallReport {
             kind: StallKind::Livelock,
             at_events: events,
@@ -266,7 +297,7 @@ impl Shared {
             paused: false,
             stop_requested: false,
         };
-        let Ok(status) = self.client.status() else {
+        let Ok(status) = status else {
             report.detail = format!(
                 "engine made no progress for {streak} checks and did not \
                  answer a status query; a component handler is likely stuck \
@@ -380,7 +411,9 @@ impl Shared {
 /// [`Watchdog::start`].
 pub struct Watchdog {
     shared: Arc<Shared>,
-    stop: Option<mpsc::Sender<()>>,
+    /// The heartbeat thread's wake channel (shared with the engine's
+    /// state watchers); a wake with `stopping` set ends the thread.
+    wake: Option<mpsc::Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -409,31 +442,49 @@ impl Watchdog {
                 alerts,
                 config,
                 state: Mutex::new(state),
+                stopping: AtomicBool::new(false),
             }),
-            stop: None,
+            wake: None,
             thread: None,
         }
     }
 
     /// Starts the heartbeat thread (idempotent).
+    ///
+    /// The thread wakes on every engine run-state transition as well as
+    /// every `interval`: a transition into [`RunState::Idle`] is checked
+    /// at once (a drained queue is classified on the spot), while the
+    /// interval ticks drive the no-progress streak.
     pub fn start(&mut self) {
         if self.thread.is_some() {
             return;
         }
-        let (stop_tx, stop_rx) = mpsc::channel::<()>();
+        let (wake_tx, wake_rx) = mpsc::channel::<()>();
+        self.shared.client.watch_state(wake_tx.clone());
+        // An engine that went idle before the subscription still counts
+        // as a transition to check.
+        if self.shared.client.run_state() == RunState::Idle {
+            let _ = wake_tx.send(());
+        }
         let shared = Arc::clone(&self.shared);
         let interval = self.shared.config.interval;
         let thread = std::thread::Builder::new()
             .name("rtm-watchdog".into())
-            .spawn(move || {
-                // recv_timeout doubles as the stop signal: dropping the
-                // sender ends the thread without waiting out the interval.
-                while let Err(mpsc::RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+            .spawn(move || loop {
+                let transition = match wake_rx.recv_timeout(interval) {
+                    Ok(()) => true,
+                    Err(mpsc::RecvTimeoutError::Timeout) => false,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                };
+                if shared.stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                if !transition || shared.client.run_state() == RunState::Idle {
                     let _ = shared.check();
                 }
             })
             .expect("spawn watchdog thread");
-        self.stop = Some(stop_tx);
+        self.wake = Some(wake_tx);
         self.thread = Some(thread);
     }
 
@@ -468,7 +519,10 @@ impl Watchdog {
 
 impl Drop for Watchdog {
     fn drop(&mut self) {
-        drop(self.stop.take());
+        self.shared.stopping.store(true, Ordering::SeqCst);
+        if let Some(wake) = self.wake.take() {
+            let _ = wake.send(());
+        }
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
@@ -492,7 +546,36 @@ impl std::fmt::Debug for Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use akita::Simulation;
+    use akita::{CompBase, Component, Ctx, Simulation};
+
+    /// Ticks `left` times, then goes quiet.
+    struct Nop {
+        base: CompBase,
+        left: u32,
+    }
+
+    impl Component for Nop {
+        fn base(&self) -> &CompBase {
+            &self.base
+        }
+        fn base_mut(&mut self) -> &mut CompBase {
+            &mut self.base
+        }
+        fn tick(&mut self, _ctx: &mut Ctx) -> bool {
+            self.left -= 1;
+            self.left > 0
+        }
+    }
+
+    fn nop_sim(ticks: u32) -> Simulation {
+        let mut sim = Simulation::new();
+        let (id, _) = sim.register(Nop {
+            base: CompBase::new("Nop", "n"),
+            left: ticks,
+        });
+        sim.wake_at(id, VTime::ZERO);
+        sim
+    }
 
     fn fast_config(stall_checks: u32) -> WatchdogConfig {
         WatchdogConfig {
@@ -566,6 +649,55 @@ mod tests {
         assert_eq!(st.state, akita::RunState::Finished);
         assert!(st.stall.is_none());
         assert!(alerts.is_empty());
+    }
+
+    /// An engine that idles with an empty queue is quiesced: the first
+    /// check after the transition declares drained-idle, although events
+    /// advanced since the watchdog was created and `stall_checks` is 5.
+    #[test]
+    fn quiesced_engine_is_declared_on_the_first_check() {
+        let (client_tx, client_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let engine = std::thread::spawn(move || {
+            let mut sim = nop_sim(50);
+            client_tx.send(sim.client()).expect("hand over the client");
+            go_rx.recv().expect("go signal");
+            sim.run_interactive()
+        });
+        let client = client_rx.recv().expect("client");
+        let mut cfg = fast_config(5);
+        cfg.interval = Duration::from_secs(1);
+        cfg.auto_pause = false;
+        let dog = Watchdog::new(&client, Arc::new(AlertEngine::new()), cfg);
+        let (state_tx, state_rx) = mpsc::channel();
+        client.watch_state(state_tx);
+        go_tx.send(()).expect("start the run");
+        while client.run_state() != RunState::Idle {
+            state_rx.recv().expect("state transitions");
+        }
+
+        let report = dog.check_once().expect("quiesced: declared at once");
+        assert_eq!(report.kind, StallKind::DrainedIdle, "{}", report.detail);
+        assert_eq!(report.at_events, 50);
+        assert_eq!(dog.status().checks, 1);
+
+        client.terminate().expect("engine alive");
+        engine.join().expect("engine thread");
+    }
+
+    /// A `run_until` deadline idles the engine with events still queued;
+    /// that is not quiesced, so it still takes `stall_checks` checks.
+    #[test]
+    fn idle_with_queued_events_needs_the_full_window() {
+        let mut sim = nop_sim(1_000);
+        sim.run_until(VTime::from_ps(10_000));
+        assert_eq!(sim.control().state(), RunState::Idle);
+        assert!(sim.control().events_handled() > 0);
+        let dog = Watchdog::new(&sim.client(), Arc::new(AlertEngine::new()), fast_config(3));
+        assert!(dog.check_once().is_none());
+        assert!(dog.check_once().is_none());
+        let report = dog.check_once().expect("third check trips");
+        assert_ne!(report.kind, StallKind::DrainedIdle);
     }
 
     #[test]

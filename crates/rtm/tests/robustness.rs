@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use akita::{CompBase, Component, Ctx, ProgressRegistry, Simulation, StopReason, VTime};
 use akita_gpu::{GpuConfig, Platform, PlatformConfig};
-use akita_rtm::{client, Monitor, RtmServer};
+use akita_rtm::{client, Monitor, RtmServer, StallKind, WatchdogConfig};
 use akita_workloads::{Fir, Workload};
 
 struct Rig {
@@ -225,6 +225,53 @@ fn watchdog_classifies_a_finished_workload_as_drained_idle() {
     assert!(stall["suspects"].as_array().unwrap().is_empty());
 
     terminate(rig);
+}
+
+/// Quiesce detection is event-driven: with a 10 s sampling interval, a
+/// poll-driven watchdog could not end the run before its first interval
+/// (and a 5-check window would take 50 s). The engine going idle with an
+/// empty queue must be declared on the transition, and stop-on-stall must
+/// wake the idle engine so the run returns at once.
+#[test]
+fn stop_on_stall_ends_a_drained_run_without_waiting_an_interval() {
+    let (elapsed, summary, stall) = thread::spawn(|| {
+        let mut platform = Platform::build(PlatformConfig {
+            gpu: GpuConfig::scaled(4),
+            ..PlatformConfig::default()
+        });
+        let fir = Fir {
+            num_samples: 2_000,
+            ..Fir::default()
+        };
+        fir.enqueue(&mut platform.driver.borrow_mut());
+        platform.start();
+        let monitor = Monitor::attach(
+            &platform.sim,
+            platform.progress.clone(),
+            Duration::from_millis(10),
+        );
+        monitor.enable_watchdog(WatchdogConfig {
+            interval: Duration::from_secs(10),
+            stall_checks: 5,
+            auto_pause: false,
+            stop_on_stall: true,
+        });
+        let start = Instant::now();
+        let summary = platform.sim.run_caught(true);
+        let elapsed = start.elapsed();
+        assert!(platform.driver.borrow().finished());
+        (elapsed, summary, monitor.watchdog_stall())
+    })
+    .join()
+    .expect("sim thread");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "run took {elapsed:?} to return after draining"
+    );
+    assert_eq!(summary.reason, StopReason::Stopped);
+    let stall = stall.expect("the watchdog declared the drained run");
+    assert_eq!(stall.kind, StallKind::DrainedIdle, "{}", stall.detail);
+    assert!(stall.stop_requested);
 }
 
 /// A component whose handler panics after a few ticks.

@@ -77,6 +77,33 @@ fi
 echo "watchdog hang gate OK (exit 5, injected site named)"
 rm -f "$hang_out"
 
+echo "==> watchdog ends a clean run at once (rtm-sim exit 0)"
+# A workload that drains clean is declared drained-idle on the engine's
+# transition to idle and the run ends; it must exit 0, not as a stall.
+clean_out="$(mktemp)"
+set +e
+cargo run --offline --release -q -p akita-rtm-cli --bin rtm-sim -- \
+    run --workload fir --watchdog >"$clean_out" 2>&1
+clean_rc=$?
+set -e
+if [ "$clean_rc" -ne 0 ]; then
+    echo "FAIL: expected exit code 0 for a clean watchdog run, got $clean_rc" >&2
+    cat "$clean_out" >&2
+    exit 1
+fi
+if ! grep -q "workload completed\." "$clean_out"; then
+    echo "FAIL: clean watchdog run did not report completion" >&2
+    cat "$clean_out" >&2
+    exit 1
+fi
+echo "watchdog clean-run gate OK (exit 0, workload completed)"
+rm -f "$clean_out"
+
+echo "==> perfbench package tests (tiny live run: monitor, watchdog, dashboard stream)"
+# The benchmark's own tests run both workloads at a tiny size against the
+# stored reference, including the live one with the full monitoring stack.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> chrome trace export shape (rtm-sim trace)"
 trace_out="$(mktemp -d)/trace.json"
 cargo run --offline --release -q -p akita-rtm-cli --bin rtm-sim -- \
