@@ -84,24 +84,6 @@ pub trait Connection: Component {
     fn link_waits(&self) -> Vec<LinkWait> {
         Vec::new()
     }
-
-    /// The minimum latency this connection adds to every message, for the
-    /// parallel engine's conservative lookahead. A connection that spans
-    /// partitions is *relayed*: sends through it are intercepted and
-    /// delivered after exactly this latency, so the value must be a hard
-    /// lower bound on [`Connection::push_msg`] transport time. `None`
-    /// (the default) marks the connection as non-relayable; the parallel
-    /// setup rejects partitionings that would make it span.
-    fn relay_latency(&self) -> Option<VTime> {
-        None
-    }
-
-    /// Handles to the ports attached to this connection, so the parallel
-    /// engine's relay can deliver into destination buffers directly.
-    /// Required (non-empty) for any connection that spans partitions.
-    fn endpoint_ports(&self) -> Vec<Port> {
-        Vec::new()
-    }
 }
 
 struct InFlight {
@@ -368,15 +350,6 @@ impl Connection for DirectConnection {
 
     fn endpoints(&self) -> Vec<PortId> {
         self.links.keys().copied().collect()
-    }
-
-    fn relay_latency(&self) -> Option<VTime> {
-        // Mirrors `arrival_time`'s floor: never less than one cycle.
-        Some(self.latency.max(self.base.freq.period()))
-    }
-
-    fn endpoint_ports(&self) -> Vec<Port> {
-        self.links.values().map(|l| l.port.clone()).collect()
     }
 
     fn link_waits(&self) -> Vec<LinkWait> {

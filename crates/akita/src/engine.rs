@@ -121,7 +121,7 @@ const NO_TICK: u64 = u64::MAX;
 /// representation, kept for the ablation benchmarks; both are exact, so
 /// the dispatched event sequence is identical either way.
 #[derive(Debug)]
-pub(crate) enum TickDedup {
+enum TickDedup {
     Epoch {
         slots: Vec<[u64; 2]>,
         overflow: HashSet<(u32, u64)>,
@@ -144,7 +144,7 @@ impl TickDedup {
     /// Records a pending tick; returns `false` when one is already queued
     /// for this exact `(component, time)`.
     #[inline]
-    pub(crate) fn insert(&mut self, component: ComponentId, t: VTime) -> bool {
+    fn insert(&mut self, component: ComponentId, t: VTime) -> bool {
         match self {
             TickDedup::Epoch { slots, overflow } => {
                 let i = component.index();
@@ -176,7 +176,7 @@ impl TickDedup {
 
     /// Clears the pending record after the tick is dispatched.
     #[inline]
-    pub(crate) fn remove(&mut self, component: ComponentId, t: VTime) {
+    fn remove(&mut self, component: ComponentId, t: VTime) {
         match self {
             TickDedup::Epoch { slots, overflow } => {
                 let i = component.index();
@@ -325,7 +325,7 @@ impl SimControl {
     /// Publishes the run state; a transition wakes every state watcher.
     /// Called on state changes only (run start/end, pause, idle), never
     /// per event.
-    pub(crate) fn set_state(&self, s: RunState) {
+    fn set_state(&self, s: RunState) {
         if self.state.swap(s as u8, Ordering::Relaxed) != s as u8 {
             self.state_watchers
                 .lock()
@@ -354,7 +354,7 @@ impl SimControl {
         self.pending_queries.fetch_sub(1, Ordering::Release);
     }
 
-    pub(crate) fn has_pending_queries(&self) -> bool {
+    fn has_pending_queries(&self) -> bool {
         self.pending_queries.load(Ordering::Acquire) != 0
     }
 
@@ -411,14 +411,14 @@ impl Ctx<'_> {
 /// The event queue plus tick bookkeeping.
 #[derive(Debug)]
 pub(crate) struct Scheduler {
-    pub(crate) queue: EventQueue,
-    pub(crate) now: VTime,
-    pub(crate) current: ComponentId,
-    pub(crate) pending_ticks: TickDedup,
+    queue: EventQueue,
+    now: VTime,
+    current: ComponentId,
+    pending_ticks: TickDedup,
 }
 
 impl Scheduler {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Scheduler {
             queue: EventQueue::new(),
             now: VTime::ZERO,
@@ -427,31 +427,10 @@ impl Scheduler {
         }
     }
 
-    pub(crate) fn schedule_tick(&mut self, component: ComponentId, t: VTime) {
+    fn schedule_tick(&mut self, component: ComponentId, t: VTime) {
         let t = t.max(self.now);
         if self.pending_ticks.insert(component, t) {
             self.queue.push(t, component, EventKind::Tick);
-        }
-    }
-
-    /// Applies the queue-level tuning knobs (ring lane, dedup
-    /// representation), migrating pending tick bookkeeping as needed. Used
-    /// by [`Simulation::set_tuning`] and by the parallel engine when
-    /// seeding per-partition schedulers.
-    pub(crate) fn apply_tuning(&mut self, tuning: EngineTuning) {
-        self.queue.set_ring_enabled(tuning.ring_lane);
-        if tuning.epoch_dedup != self.pending_ticks.is_epoch() {
-            let mut fresh = if tuning.epoch_dedup {
-                TickDedup::epoch()
-            } else {
-                TickDedup::hash()
-            };
-            for ev in self.queue.events() {
-                if ev.kind == EventKind::Tick {
-                    fresh.insert(ev.component, ev.time);
-                }
-            }
-            self.pending_ticks = fresh;
         }
     }
 }
@@ -486,52 +465,49 @@ pub struct RunSummary {
 ///
 /// See [`Component`] for a complete usage example.
 pub struct Simulation {
-    pub(crate) sched: Scheduler,
-    pub(crate) components: Vec<Rc<RefCell<dyn Component>>>,
+    sched: Scheduler,
+    components: Vec<Rc<RefCell<dyn Component>>>,
     by_name: HashMap<String, ComponentId>,
     buffers: BufferRegistry,
-    pub(crate) ctrl: Arc<SimControl>,
+    ctrl: Arc<SimControl>,
     query_tx: Sender<SimQuery>,
     query_rx: Receiver<SimQuery>,
     /// Events between query-channel polls (1 = poll every event).
     query_poll_interval: u64,
-    pub(crate) tuning: EngineTuning,
+    tuning: EngineTuning,
     /// Exact events dispatched (engine-thread view; the atomic in `ctrl`
     /// lags by at most `tuning.publish_batch` between exact flushes).
-    pub(crate) events_total: u64,
+    events_total: u64,
     /// `events_total` at the last atomic flush.
     events_published: u64,
-    pub(crate) terminate_requested: bool,
+    terminate_requested: bool,
     topology: Vec<TopologyEdge>,
     /// Registered connections by component id, for topology analysis.
     connections: std::collections::BTreeMap<ComponentId, Rc<RefCell<dyn Connection>>>,
     /// Recent-event ring buffer (the trace view); empty when disabled.
-    pub(crate) trace: std::collections::VecDeque<(VTime, ComponentId, EventKind)>,
-    pub(crate) trace_enabled: bool,
-    pub(crate) trace_cap: usize,
-    pub(crate) hooks: Vec<Rc<RefCell<dyn Hook>>>,
+    trace: std::collections::VecDeque<(VTime, ComponentId, EventKind)>,
+    trace_enabled: bool,
+    trace_cap: usize,
+    hooks: Vec<Rc<RefCell<dyn Hook>>>,
     /// Handle to the fault hub carried by `buffers`; the engine publishes
     /// virtual time into it and resolves component-level rules.
-    pub(crate) fhub: FaultHub,
+    fhub: FaultHub,
     /// Freeze/slow rules resolved to component ids, rebuilt on every
     /// [`Simulation::install_faults`].
-    pub(crate) comp_faults: Vec<Option<CompFaultEntry>>,
+    comp_faults: Vec<Option<CompFaultEntry>>,
     /// True when any fault rule (site or component) is armed — the single
     /// per-event branch fault-free runs pay.
-    pub(crate) faults_on: bool,
+    faults_on: bool,
     /// Per-component last-dispatch virtual time (ps), `u64::MAX` = never;
     /// empty while stamps are off. Feeds the stall watchdog.
-    pub(crate) activity: Vec<u64>,
-    pub(crate) activity_on: bool,
-    /// Conservative-window parallel configuration; `Some` routes every run
-    /// through [`crate::par::run_windowed`].
-    pub(crate) par: Option<std::rc::Rc<crate::par::ParRuntime>>,
+    activity: Vec<u64>,
+    activity_on: bool,
 }
 
 #[derive(Clone)]
-pub(crate) struct CompFaultEntry {
-    pub(crate) name: String,
-    pub(crate) spec: CompFaultSpec,
+struct CompFaultEntry {
+    name: String,
+    spec: CompFaultSpec,
 }
 
 impl Default for Simulation {
@@ -570,7 +546,6 @@ impl Simulation {
             faults_on: false,
             activity: Vec::new(),
             activity_on: false,
-            par: None,
         }
     }
 
@@ -591,7 +566,20 @@ impl Simulation {
             publish_batch: tuning.publish_batch.max(1),
             ..tuning
         };
-        self.sched.apply_tuning(tuning);
+        self.sched.queue.set_ring_enabled(tuning.ring_lane);
+        if tuning.epoch_dedup != self.sched.pending_ticks.is_epoch() {
+            let mut fresh = if tuning.epoch_dedup {
+                TickDedup::epoch()
+            } else {
+                TickDedup::hash()
+            };
+            for ev in self.sched.queue.events() {
+                if ev.kind == EventKind::Tick {
+                    fresh.insert(ev.component, ev.time);
+                }
+            }
+            self.sched.pending_ticks = fresh;
+        }
     }
 
     /// The active hot-path configuration.
@@ -750,60 +738,6 @@ impl Simulation {
             }
         }
         self.faults_on = self.fhub.is_enabled() || self.comp_faults.iter().any(Option::is_some);
-        // Keep the parallel workers' view current: a plan installed at a
-        // window barrier must be visible in the very next window.
-        if let Some(par) = &self.par {
-            par.set_comp_faults(self.comp_faults.clone());
-        }
-    }
-
-    // --- Parallel execution -------------------------------------------
-
-    /// Switches the simulation to conservative-window parallel execution.
-    ///
-    /// Call after the *entire* topology is built (components registered,
-    /// ports connected, initial wakes scheduled are fine before or after).
-    /// Every subsequent [`Simulation::run`]-family call executes partitions
-    /// on `threads` worker threads in lock-step windows; committed events
-    /// are merged and hook-dispatched in global `(time, seq)` order, so the
-    /// observable event log is bit-identical for every `threads` value
-    /// (including 1). [`Simulation::step`] is not supported in this mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when parallel mode is already configured, when the
-    /// plan does not cover every component, or when a partition-spanning
-    /// connection is not relayable (no
-    /// [`Connection::relay_latency`](crate::Connection::relay_latency)).
-    pub fn set_parallel(
-        &mut self,
-        plan: crate::par::PartitionPlan,
-        threads: usize,
-    ) -> Result<(), String> {
-        if self.par.is_some() {
-            return Err("parallel mode is already configured".into());
-        }
-        let rt = crate::par::configure(self, plan, threads)?;
-        rt.set_comp_faults(self.comp_faults.clone());
-        self.par = Some(std::rc::Rc::new(rt));
-        Ok(())
-    }
-
-    /// Whether conservative-window parallel execution is configured.
-    pub fn is_parallel(&self) -> bool {
-        self.par.is_some()
-    }
-
-    /// The parallel engine's lock-free stats block, for monitors. `None`
-    /// until [`Simulation::set_parallel`] succeeds.
-    pub fn parallel_shared(&self) -> Option<std::sync::Arc<crate::par::ParShared>> {
-        self.par.as_ref().map(|p| p.shared())
-    }
-
-    /// A detailed parallel status report (partitions, stall evidence).
-    /// `None` when parallel mode is not configured.
-    pub fn parallel_report(&self) -> Option<crate::par::ParReport> {
-        self.par.as_ref().map(|p| crate::par::report(self, p))
     }
 
     // --- Activity stamps (stall-watchdog support) ---------------------
@@ -852,15 +786,11 @@ impl Simulation {
     }
 
     pub(crate) fn scheduled_set(&self) -> HashSet<ComponentId> {
-        let mut set: HashSet<ComponentId> = self.sched.queue.scheduled_components().collect();
-        if let Some(par) = &self.par {
-            set.extend(par.scheduled_components());
-        }
-        set
+        self.sched.queue.scheduled_components().collect()
     }
 
     pub(crate) fn queue_is_empty(&self) -> bool {
-        self.sched.queue.is_empty() && self.par.as_ref().is_none_or(|p| p.all_queues_empty())
+        self.sched.queue.is_empty()
     }
 
     /// Makes the lock-free monitor view (`now`, `events`) exact.
@@ -868,7 +798,7 @@ impl Simulation {
     /// Called every `publish_batch` events, and — so the monitor never
     /// observes staleness when it actually looks — before every served
     /// query, on pause/idle entry, and when a run returns.
-    pub(crate) fn flush_publish(&mut self) {
+    fn flush_publish(&mut self) {
         self.events_published = self.events_total;
         self.ctrl.publish(self.sched.now);
         self.ctrl.events.store(self.events_total, Ordering::Relaxed);
@@ -1074,9 +1004,6 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, deadline: Option<VTime>, interactive: bool) -> RunSummary {
-        if self.par.is_some() {
-            return crate::par::run_windowed(self, deadline, interactive);
-        }
         let start_events = self.events_total;
         self.ctrl.set_state(RunState::Running);
         self.flush_publish();
@@ -1131,7 +1058,7 @@ impl Simulation {
     }
 
     /// Serves queries while paused; returns when unpaused or stopping.
-    pub(crate) fn paused_loop(&mut self) {
+    fn paused_loop(&mut self) {
         self.flush_publish();
         self.ctrl.set_state(RunState::Paused);
         while self.ctrl.is_paused() && !self.ctrl.stop_requested() && !self.terminate_requested {
@@ -1144,7 +1071,7 @@ impl Simulation {
 
     /// Serves queries while the queue is empty. Returns `true` when new
     /// events appeared (e.g. an injected tick) and the run should continue.
-    pub(crate) fn idle_loop(&mut self) -> bool {
+    fn idle_loop(&mut self) -> bool {
         self.flush_publish();
         self.ctrl.set_state(RunState::Idle);
         loop {
@@ -1180,8 +1107,7 @@ impl Simulation {
                     now: self.sched.now,
                     state: self.ctrl.state(),
                     events: self.events_total,
-                    queue_len: self.sched.queue.len()
-                        + self.par.as_ref().map_or(0, |p| p.queued_events() as usize),
+                    queue_len: self.sched.queue.len(),
                     components: self.components.len(),
                     live_buffers: self.buffers.len(),
                 });
@@ -1306,10 +1232,6 @@ impl Simulation {
             SimQuery::Activity(reply) => {
                 let _ = reply.send(self.activity_stamps());
             }
-            SimQuery::Parallel(reply) => {
-                let report = self.par.as_ref().map(|p| crate::par::report(self, p));
-                let _ = reply.send(report);
-            }
             SimQuery::Terminate => {
                 self.terminate_requested = true;
             }
@@ -1317,7 +1239,7 @@ impl Simulation {
     }
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -15,9 +15,8 @@
 //! already threaded through every port and buffer constructor), not
 //! process-global, so parallel tests cannot contaminate each other. When no
 //! plan is installed the only cost on hot paths is a single relaxed atomic
-//! load behind an `Arc`. The hub is `Send + Sync` so the parallel engine's
-//! partition workers can consult their sites concurrently; rule state sits
-//! behind a `Mutex` that is only contended while faults are armed.
+//! load behind an `Arc`; rule state sits behind a `Mutex` that only the
+//! engine thread takes, so it is never contended.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -318,8 +317,7 @@ struct HubShared {
     enabled: AtomicBool,
     /// Current virtual time, published by the engine per event while
     /// faults are armed, so buffer-level windows can be evaluated without
-    /// access to a `Ctx`. The parallel engine publishes the window start
-    /// once per window instead.
+    /// access to a `Ctx`.
     now_ps: AtomicU64,
     inner: Mutex<HubInner>,
 }

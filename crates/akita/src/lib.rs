@@ -52,7 +52,6 @@ pub mod faults;
 mod hook;
 mod ids;
 mod msg;
-mod par;
 mod port;
 pub mod profile;
 mod progress;
@@ -77,9 +76,6 @@ pub use faults::{
 pub use hook::{EventCountHook, EventCounts, Hook};
 pub use ids::{ComponentId, MsgId, PortId};
 pub use msg::{downcast_msg, Msg, MsgExt, MsgMeta};
-pub use par::{
-    ParReport, ParShared, ParSnapshot, PartStat, PartitionPlan, PartitionStatus, WorkerStat,
-};
 pub use port::{Port, PortSnapshot};
 pub use profile::{ProfileEdge, ProfileNode, ProfileReport};
 pub use progress::{ProgressBarId, ProgressRegistry, ProgressSnapshot};

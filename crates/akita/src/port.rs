@@ -185,13 +185,6 @@ impl Port {
     /// (`crate::analysis`) reports before any message is sent.
     pub fn send(&self, ctx: &mut Ctx, mut msg: Box<dyn Msg>) -> Result<(), Box<dyn Msg>> {
         msg.meta_mut().src = self.id();
-        // Parallel mode: a port on a partition-spanning connection routes
-        // through the relay instead of the connection (one TLS read when no
-        // relay is active).
-        let msg = match crate::par::relay_send(ctx, msg) {
-            Ok(()) => return Ok(()),
-            Err(msg) => msg,
-        };
         let conn = {
             let inner = self.inner.borrow();
             let (conn, _) = inner
@@ -233,11 +226,7 @@ impl Port {
             trace::observe(self.site, meta.task_kind, trace::Phase::Queue, wait);
         }
         if was_full {
-            // In parallel mode a spanning connection never ticks — the
-            // partition's dock delivers for it and must be the one retried.
-            if let Some(dock) = crate::par::relay_wake_target(self.id()) {
-                ctx.wake(dock);
-            } else if let Some((_, conn_id)) = self.inner.borrow().conn.as_ref() {
+            if let Some((_, conn_id)) = self.inner.borrow().conn.as_ref() {
                 ctx.wake(*conn_id);
             }
         }

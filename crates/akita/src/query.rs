@@ -72,8 +72,6 @@ pub enum SimQuery {
     SetActivityStamps(bool),
     /// Per-component last-activity stamps (empty while stamps are off).
     Activity(Replier<Vec<ActivityStamp>>),
-    /// Detailed parallel-engine status (`None` when running serially).
-    Parallel(Replier<Option<crate::par::ParReport>>),
     /// End an interactive run.
     Terminate,
 }
@@ -371,16 +369,6 @@ impl QueryClient {
     /// [`QueryError`] when the simulation is gone or unresponsive.
     pub fn activity(&self) -> Result<Vec<ActivityStamp>, QueryError> {
         self.request(SimQuery::Activity)
-    }
-
-    /// Detailed parallel-engine status: partitions, queue depths, stall
-    /// evidence. `Ok(None)` when the simulation runs serially.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError`] when the simulation is gone or unresponsive.
-    pub fn parallel(&self) -> Result<Option<crate::par::ParReport>, QueryError> {
-        self.request(SimQuery::Parallel)
     }
 
     /// Details of a caught handler panic, if any (lock-free; works even

@@ -28,18 +28,13 @@
 //! (plus per-component activity stamps) enabled. The delta is the price of
 //! leaving hang detection armed on every run.
 //!
-//! A fourth section sweeps the conservative-window parallel engine
-//! (`--threads 1/2/4/8`) over both workloads — the Fig 4 chain partitioned
-//! per stage and a 4-chiplet MCM-GPU partitioned per chiplet — asserting
-//! that every thread count commits the same event total (the bit-identity
-//! gate) and recording honest events/sec for the host it ran on. On a
-//! single-core container the sweep measures coordination overhead, not
-//! speedup; the JSON records `host_cpus` so readers can judge the curve.
+//! The JSON records `host_cpus` so readers can judge the numbers against
+//! the machine they ran on.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use akita::{EngineTuning, PartitionPlan, ProgressRegistry, Simulation};
+use akita::{EngineTuning, ProgressRegistry, Simulation};
 use akita_gpu::{GpuConfig, Platform, PlatformConfig};
 use akita_rtm::{Monitor, WatchdogConfig};
 use akita_workloads::{Fir, Workload};
@@ -125,42 +120,6 @@ fn run_chain_monitored(tasks: u64, tuning: EngineTuning, reps: u32, watchdog: bo
     })
 }
 
-/// The Fig 4 chain under the parallel engine, one partition per
-/// component (every hop crosses the 1 ns "Chain" connection, so the
-/// lookahead is the full link latency).
-fn run_chain_parallel(tasks: u64, threads: usize, reps: u32) -> Measurement {
-    best(reps, || {
-        let mut sim = build_chain_sim(tasks);
-        let plan = PartitionPlan::from_key(&sim, str::to_owned).expect("chain plan");
-        sim.set_parallel(plan, threads).expect("set_parallel");
-        measure(&mut sim, EngineTuning::fast())
-    })
-}
-
-/// The paper's 4-chiplet MCM-GPU running FIR under the parallel engine,
-/// one partition per chiplet plus the host.
-fn run_gpu_parallel(samples: u64, threads: usize, reps: u32) -> Measurement {
-    best(reps, || {
-        let mut platform = Platform::build(PlatformConfig::mcm(GpuConfig::scaled(4)));
-        let fir = Fir {
-            num_samples: samples,
-            ..Fir::default()
-        };
-        fir.enqueue(&mut platform.driver.borrow_mut());
-        platform.start();
-        platform.sim.set_tuning(EngineTuning::fast());
-        platform.enable_parallel(threads).expect("enable_parallel");
-        let start = Instant::now();
-        let summary = platform.sim.run();
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        Measurement {
-            events: summary.events,
-            secs,
-            eps: summary.events as f64 / secs,
-        }
-    })
-}
-
 fn run_gpu(samples: u64, tuning: EngineTuning, reps: u32) -> Measurement {
     best(reps, || {
         let mut platform = Platform::build(PlatformConfig {
@@ -219,7 +178,10 @@ fn main() {
         (200_000, 16 * 1024, 3)
     };
 
-    println!("=== engine throughput: seed configuration vs fast hot path ===\n");
+    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    println!(
+        "=== engine throughput: seed configuration vs fast hot path ({host_cpus} host CPU(s)) ===\n"
+    );
 
     let chain_seed = run_chain(chain_tasks, EngineTuning::seed(), reps);
     let chain_fast = run_chain(chain_tasks, EngineTuning::fast(), reps);
@@ -229,32 +191,6 @@ fn main() {
     let gpu_traced = traced(|| run_gpu(gpu_samples, EngineTuning::fast(), reps));
     let chain_mon = run_chain_monitored(chain_tasks, EngineTuning::fast(), reps, false);
     let chain_wd = run_chain_monitored(chain_tasks, EngineTuning::fast(), reps, true);
-
-    // Parallel scaling sweep. Thread counts above the host's core count
-    // (or the partition count) measure oversubscription, which is still
-    // worth recording — the merge stays bit-identical regardless.
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let par_threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let par_reps = if smoke { 1 } else { reps };
-    let chain_par: Vec<(usize, Measurement)> = par_threads
-        .iter()
-        .map(|&t| (t, run_chain_parallel(chain_tasks, t, par_reps)))
-        .collect();
-    let gpu_par: Vec<(usize, Measurement)> = par_threads
-        .iter()
-        .map(|&t| (t, run_gpu_parallel(gpu_samples, t, par_reps)))
-        .collect();
-    // The determinism gate: every thread count must commit the same events.
-    for series in [&chain_par, &gpu_par] {
-        let baseline = series[0].1.events;
-        for (t, m) in series {
-            assert_eq!(
-                m.events, baseline,
-                "parallel engine diverged at {t} thread(s): {} vs {baseline} events",
-                m.events
-            );
-        }
-    }
 
     let row = |name: &str, seed: Measurement, fast: Measurement| {
         vec![
@@ -293,27 +229,6 @@ fn main() {
         ],
     );
 
-    println!(
-        "\n=== parallel engine scaling ({host_cpus} host CPU(s); identical event totals asserted) ===\n"
-    );
-    let par_rows = |name: &str, series: &[(usize, Measurement)]| {
-        let base = series[0].1.eps;
-        series
-            .iter()
-            .map(|&(t, m)| {
-                vec![
-                    format!("{name} x{t}"),
-                    format!("{}", m.events),
-                    format!("{}/s", fmt_eps(m.eps)),
-                    format!("{:.2}x", m.eps / base),
-                ]
-            })
-            .collect::<Vec<_>>()
-    };
-    let mut rows = par_rows("fig4_chain", &chain_par);
-    rows.extend(par_rows("mcm_gpu_fir", &gpu_par));
-    print_table(&["workload", "events", "throughput", "vs 1 thread"], &rows);
-
     println!("\n=== stall-watchdog overhead (fast engine + monitor, watchdog off vs on) ===\n");
     print_table(
         &["workload", "watchdog off", "watchdog on", "overhead"],
@@ -350,11 +265,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!(
-            "OK: fast engine clears the smoke floor with tracing and watchdog on; \
-             parallel merges are event-identical at {} thread counts",
-            par_threads.len()
-        );
+        println!("OK: fast engine clears the smoke floor with tracing and watchdog on");
         return;
     }
 
@@ -376,34 +287,7 @@ fn main() {
             (tracing_json("fig4_chain", chain_fast, chain_traced)),
             (tracing_json("mcm_gpu_fir", gpu_fast, gpu_traced)),
         ],
-        "parallel_scaling": (json!({
-            "host_cpus": host_cpus,
-            "note": "conservative-window engine; identical event totals asserted across thread counts",
-            "workloads": [
-                (json!({
-                    "name": "fig4_chain",
-                    "partitioning": "one partition per pipeline component",
-                    "threads": (chain_par.iter().map(|&(t, m)| json!({
-                        "threads": t,
-                        "events": (m.events),
-                        "secs": (m.secs),
-                        "events_per_sec": (m.eps),
-                        "speedup_vs_1": (m.eps / chain_par[0].1.eps),
-                    })).collect::<Vec<_>>()),
-                })),
-                (json!({
-                    "name": "mcm_gpu_fir",
-                    "partitioning": "one partition per chiplet + host",
-                    "threads": (gpu_par.iter().map(|&(t, m)| json!({
-                        "threads": t,
-                        "events": (m.events),
-                        "secs": (m.secs),
-                        "events_per_sec": (m.eps),
-                        "speedup_vs_1": (m.eps / gpu_par[0].1.eps),
-                    })).collect::<Vec<_>>()),
-                })),
-            ],
-        })),
+        "host_cpus": host_cpus,
         "watchdog_overhead": [
             (json!({
                 "name": "fig4_chain",

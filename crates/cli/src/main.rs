@@ -56,11 +56,6 @@ OPTIONS:
                             lane, epoch tick dedup, demand polling, batched
                             publishes) or `seed` (pre-optimization baseline,
                             for A/B timing)
-    --threads <n>           run the conservative-window parallel engine
-                            with <n> worker threads, partitioned one per
-                            GPU chiplet plus one host partition; event
-                            logs are bit-identical for every <n> (omit
-                            the flag entirely for the legacy serial loop)
     --flush                 flush caches between kernels (MGPUSim's model)
     --inject-deadlock       enable the Case Study 2 L2 write-buffer bug
     --faults <plan.json>    install a deterministic fault-injection plan
@@ -95,7 +90,6 @@ struct Args {
     net_bandwidth: Option<u64>,
     net_latency_ns: Option<u64>,
     config: Option<String>,
-    threads: Option<usize>,
     port: u16,
     hold: bool,
     no_monitor: bool,
@@ -123,7 +117,6 @@ fn parse_args() -> Args {
         net_bandwidth: None,
         net_latency_ns: None,
         config: None,
-        threads: None,
         port: 0,
         hold: false,
         no_monitor: false,
@@ -185,15 +178,6 @@ fn parse_args() -> Args {
                 };
             }
             "--config" => args.config = Some(value("--config")),
-            "--threads" => {
-                let n: usize = value("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --threads"));
-                if n == 0 {
-                    die("--threads must be at least 1");
-                }
-                args.threads = Some(n);
-            }
             "--dump-config" => {
                 let cfg = PlatformConfig::default();
                 println!(
@@ -430,25 +414,6 @@ fn main() {
     if args.watchdog && args.no_monitor {
         die("--watchdog needs the monitor (drop --no-monitor)");
     }
-    if let Some(threads) = args.threads {
-        platform
-            .sim
-            .set_parallel(
-                platform
-                    .partition_plan()
-                    .unwrap_or_else(|e| die(&format!("cannot build a partition plan: {e}"))),
-                threads,
-            )
-            .unwrap_or_else(|e| die(&format!("cannot enable the parallel engine: {e}")));
-        let report = platform.sim.parallel_report().expect("parallel is on");
-        println!(
-            "parallel engine: {} worker thread(s), {} partition(s), lookahead {} ps",
-            report.threads,
-            report.partitions.len(),
-            report.lookahead_ps
-        );
-    }
-
     let monitored = if args.no_monitor {
         None
     } else {
@@ -459,9 +424,6 @@ fn main() {
             Duration::from_millis(100),
         ));
         monitor.set_event_counts(counts.borrow().shared());
-        if let Some(par) = platform.sim.parallel_shared() {
-            monitor.set_par_stats(par);
-        }
         let addr = format!("127.0.0.1:{}", args.port)
             .parse()
             .expect("valid socket address");

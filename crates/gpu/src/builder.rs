@@ -7,10 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use akita::{
-    Component, ComponentId, DirectConnection, PartitionPlan, Port, ProgressRegistry, Simulation,
-    VTime,
-};
+use akita::{Component, ComponentId, DirectConnection, Port, ProgressRegistry, Simulation, VTime};
 use akita_mem::{
     AddressTranslator, AtConfig, ChipletRouter, Dram, DramConfig, InterleavedLowModules,
     Interleaving, L1Cache, L1Config, L2Cache, L2Config, L2Tlb, L2TlbConfig, PageTable,
@@ -551,32 +548,6 @@ impl Platform {
         }
     }
 
-    /// A partition plan for conservative-window parallel execution: one
-    /// partition per GPU chiplet plus one for the host (driver, dispatcher,
-    /// inter-chiplet network). The partition-spanning connections are the
-    /// control/dispatch links and the chiplet network, whose minimum
-    /// latency bounds the engine's window size.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the plan cannot cover every component (a wiring
-    /// bug — e.g. a connection with no resolvable endpoints).
-    pub fn partition_plan(&self) -> Result<PartitionPlan, String> {
-        PartitionPlan::from_key(&self.sim, chiplet_partition_key)
-    }
-
-    /// Switches the platform's simulation to the parallel engine with
-    /// `threads` worker threads, partitioned per [`Self::partition_plan`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the plan is invalid or the simulation is
-    /// already parallel.
-    pub fn enable_parallel(&mut self, threads: usize) -> Result<(), String> {
-        let plan = self.partition_plan()?;
-        self.sim.set_parallel(plan, threads)
-    }
-
     /// Wakes the driver so queued tasks start executing; call after
     /// enqueueing work (and again if more work is enqueued between runs).
     pub fn start(&mut self) {
@@ -600,29 +571,4 @@ impl std::fmt::Debug for Platform {
             self.sim.component_count()
         )
     }
-}
-
-/// Partition key used by [`Platform::partition_plan`]: components named
-/// `GPU[c].…` map to `"chiplet[c]"`; everything else (driver, dispatcher,
-/// inter-chiplet network, host-side connections) maps to `"host"`.
-///
-/// # Examples
-///
-/// ```
-/// use akita_gpu::chiplet_partition_key;
-///
-/// assert_eq!(chiplet_partition_key("GPU[2].SA[3].L1V[0]"), "chiplet[2]");
-/// assert_eq!(chiplet_partition_key("GPU.Dispatcher"), "host");
-/// assert_eq!(chiplet_partition_key("Driver"), "host");
-/// ```
-#[must_use]
-pub fn chiplet_partition_key(name: &str) -> String {
-    if let Some(rest) = name.strip_prefix("GPU[") {
-        if let Some((idx, _)) = rest.split_once("].") {
-            if !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) {
-                return format!("chiplet[{idx}]");
-            }
-        }
-    }
-    "host".to_owned()
 }

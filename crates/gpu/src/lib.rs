@@ -37,7 +37,7 @@ pub mod kernel;
 pub mod proto;
 mod rdma;
 
-pub use builder::{chiplet_partition_key, ChipletHandles, GpuConfig, Platform, PlatformConfig};
+pub use builder::{ChipletHandles, GpuConfig, Platform, PlatformConfig};
 pub use cu::{ComputeUnit, CuConfig};
 pub use dispatcher::{Dispatcher, DispatcherConfig};
 pub use driver::Driver;

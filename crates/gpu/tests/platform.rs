@@ -620,80 +620,3 @@ fn paper_scale_mcm_gpu_runs_im2col() {
     p.sim.run();
     assert!(p.driver.borrow().finished());
 }
-
-/// Runs the MCM workload with `threads` parallel workers and returns the
-/// committed event log as `(time_ps, seq, component_name)` tuples.
-fn mcm_event_log(threads: usize) -> (Vec<(u64, u64, String)>, u64) {
-    use akita::{Component, Ev, Hook};
-
-    #[derive(Default)]
-    struct LogHook(Vec<(u64, u64, String)>);
-    impl Hook for LogHook {
-        fn before_event(&mut self, ev: &Ev, component: &dyn Component) {
-            self.0
-                .push((ev.time.ps(), ev.seq, component.name().to_owned()));
-        }
-    }
-
-    let mut p = Platform::build(PlatformConfig::mcm(GpuConfig::scaled(2)));
-    // Strided reads across the chiplet interleave: every chiplet sees both
-    // local and remote (RDMA) traffic.
-    p.driver
-        .borrow_mut()
-        .enqueue_kernel(read_kernel(16, 2, 4096, 0));
-    p.start();
-    let hook = p.sim.add_hook(LogHook::default());
-    p.enable_parallel(threads).expect("enable_parallel");
-    let summary = p.sim.run();
-    assert!(p.driver.borrow().finished(), "driver must drain its queue");
-    let log = std::mem::take(&mut hook.borrow_mut().0);
-    (log, summary.events)
-}
-
-/// The tentpole determinism guarantee on the paper's Case Study 1 machine:
-/// a 4-chiplet MCM-GPU run merges bit-identically at 1 and 4 threads.
-#[test]
-fn mcm_gpu_parallel_log_bit_identical() {
-    let (log1, ev1) = mcm_event_log(1);
-    let (log4, ev4) = mcm_event_log(4);
-    assert!(ev1 > 0 && !log1.is_empty(), "workload must do work");
-    assert_eq!(ev1, ev4, "events_total diverged");
-    assert_eq!(log1.len(), log4.len(), "log length diverged");
-    for (i, (a, b)) in log1.iter().zip(log4.iter()).enumerate() {
-        assert_eq!(a, b, "logs diverge at event {i}");
-    }
-}
-
-/// The chiplet partition plan groups every component into chiplet[c] or
-/// host, and the parallel report reflects that layout.
-#[test]
-fn mcm_partition_plan_covers_platform() {
-    let mut p = Platform::build(PlatformConfig::mcm(GpuConfig::scaled(2)));
-    let plan = p.partition_plan().expect("plan");
-    assert_eq!(
-        plan.partitions(),
-        5,
-        "4 chiplets + host: {:?}",
-        plan.names()
-    );
-    p.driver
-        .borrow_mut()
-        .enqueue_kernel(read_kernel(8, 1, 4096, 0));
-    p.start();
-    p.enable_parallel(4).expect("enable_parallel");
-    p.sim.run();
-    let report = p.sim.parallel_report().expect("report");
-    assert_eq!(report.partitions.len(), 5);
-    assert!(report.windows > 0, "run must advance in windows");
-    assert!(
-        report.lookahead_ps > 0 && report.lookahead_ps <= 5_000,
-        "lookahead bounded by the 5 ns control links, got {}",
-        report.lookahead_ps
-    );
-    let host = report
-        .partitions
-        .iter()
-        .find(|part| part.name == "host")
-        .expect("host partition");
-    assert!(host.components > 0);
-}

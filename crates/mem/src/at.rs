@@ -28,10 +28,6 @@ use crate::tlb2::{TranslationReq, TranslationRsp};
 ///
 /// Unmapped addresses translate to themselves (identity), so standalone
 /// tests can skip the driver entirely.
-///
-/// The map sits behind a `Mutex` (not a `RefCell`) because under the
-/// parallel engine the driver partition fills the table while chiplet
-/// partitions translate through it concurrently.
 #[derive(Debug)]
 pub struct PageTable {
     page_size: u64,

@@ -151,97 +151,6 @@ pub fn render_report(report: &TaskTraceReport, out: &mut String) {
     }
 }
 
-/// Renders the parallel engine's per-partition and per-worker gauges.
-fn render_par(par: &akita::ParSnapshot, out: &mut String) {
-    header(
-        out,
-        "akita_par_windows_total",
-        "Conservative windows completed by the parallel engine.",
-        "counter",
-    );
-    let _ = writeln!(out, "akita_par_windows_total {}", par.windows);
-    header(
-        out,
-        "akita_par_lookahead_seconds",
-        "Conservative window lookahead (virtual time).",
-        "gauge",
-    );
-    let _ = writeln!(
-        out,
-        "akita_par_lookahead_seconds {}",
-        par.lookahead_ps as f64 / PS_PER_SEC
-    );
-    header(
-        out,
-        "akita_par_partition_events_total",
-        "Events committed per partition.",
-        "counter",
-    );
-    for p in &par.partitions {
-        let _ = writeln!(
-            out,
-            "akita_par_partition_events_total{{partition=\"{}\"}} {}",
-            escape_label(&p.name),
-            p.events
-        );
-    }
-    header(
-        out,
-        "akita_par_partition_queue_len",
-        "Pending events per partition at the last window barrier.",
-        "gauge",
-    );
-    for p in &par.partitions {
-        let _ = writeln!(
-            out,
-            "akita_par_partition_queue_len{{partition=\"{}\"}} {}",
-            escape_label(&p.name),
-            p.queue_len
-        );
-    }
-    header(
-        out,
-        "akita_par_partition_dock_pending",
-        "Relayed messages parked in each partition's dock — sustained \
-         nonzero values mark a window-stalled (wedged) partition.",
-        "gauge",
-    );
-    for p in &par.partitions {
-        let _ = writeln!(
-            out,
-            "akita_par_partition_dock_pending{{partition=\"{}\"}} {}",
-            escape_label(&p.name),
-            p.dock_pending
-        );
-    }
-    header(
-        out,
-        "akita_par_worker_busy_seconds_total",
-        "Wall-clock time each worker spent executing partition windows.",
-        "counter",
-    );
-    for (w, ws) in par.workers.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "akita_par_worker_busy_seconds_total{{worker=\"{w}\"}} {}",
-            ws.busy_ns as f64 / 1e9
-        );
-    }
-    header(
-        out,
-        "akita_par_worker_barrier_wait_seconds_total",
-        "Wall-clock time each worker spent waiting at window barriers.",
-        "counter",
-    );
-    for (w, ws) in par.workers.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "akita_par_worker_barrier_wait_seconds_total{{worker=\"{w}\"}} {}",
-            ws.barrier_wait_ns as f64 / 1e9
-        );
-    }
-}
-
 /// Renders the full scrape body for one monitor.
 #[must_use]
 pub fn render(m: &Monitor) -> String {
@@ -281,9 +190,6 @@ pub fn render(m: &Monitor) -> String {
                 escape_label(&kind)
             );
         }
-    }
-    if let Some(par) = m.par_stats() {
-        render_par(&par, &mut out);
     }
     if let Ok(buffers) = m.buffers(BufferSort::Size, None) {
         header(

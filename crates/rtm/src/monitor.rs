@@ -73,10 +73,6 @@ pub struct Monitor {
     /// Per-event-kind counters, when the host wired an
     /// [`akita::EventCountHook`] in via [`Monitor::set_event_counts`].
     event_counts: Mutex<Option<EventCounts>>,
-    /// Parallel-engine gauges, when the host wired
-    /// [`akita::Simulation::parallel_shared`] in via
-    /// [`Monitor::set_par_stats`].
-    par_stats: Mutex<Option<std::sync::Arc<akita::ParShared>>>,
     /// The stall watchdog, once [`Monitor::enable_watchdog`] installed it.
     watchdog: Mutex<Option<Watchdog>>,
     /// Dropping this wakes and stops the sampler thread immediately.
@@ -131,7 +127,6 @@ impl Monitor {
             alerts,
             rate,
             event_counts: Mutex::new(None),
-            par_stats: Mutex::new(None),
             watchdog: Mutex::new(None),
             sampler_stop: Some(stop_tx),
             sampler: Some(sampler),
@@ -458,27 +453,6 @@ impl Monitor {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .as_ref()
             .map(EventCounts::all)
-    }
-
-    /// Wires the parallel engine's lock-free stats handle
-    /// ([`akita::Simulation::parallel_shared`]) in, so `/api/metrics` can
-    /// export per-partition and per-worker gauges without an engine
-    /// round-trip.
-    pub fn set_par_stats(&self, stats: std::sync::Arc<akita::ParShared>) {
-        *self
-            .par_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(stats);
-    }
-
-    /// A snapshot of the parallel engine's gauges, when the simulation
-    /// runs parallel and the handle was wired in.
-    pub fn par_stats(&self) -> Option<akita::ParSnapshot> {
-        self.par_stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-            .map(|s| s.snapshot())
     }
 
     // --- Stall watchdog (crate::watchdog) ---------------------------------

@@ -277,26 +277,9 @@ pub fn route(m: &Monitor, req: &Request) -> Response {
         ("GET", "/api/progress") => api_progress(m),
         ("GET", "/api/resources") => ok_json(&m.resources()),
         ("GET", "/api/analysis") => respond(m.analysis()),
-        ("GET", "/api/parallel") => match m.client().parallel() {
-            // Serial runs answer `None`: 200 with an explicit serial body
-            // rather than a 404, so dashboards can probe unconditionally.
-            Ok(Some(report)) => {
-                // Worker utilization comes from the lock-free stats handle
-                // (when wired in), not the engine, so it stays fresh even
-                // mid-window.
-                let workers = m.par_stats().map(|s| s.workers).unwrap_or_default();
-                ok_json(&serde_json::json!({
-                    "parallel": true,
-                    "threads": (report.threads),
-                    "lookahead_ps": (report.lookahead_ps),
-                    "windows": (report.windows),
-                    "partitions": (report.partitions),
-                    "workers": workers,
-                }))
-            }
-            Ok(None) => ok_json(&serde_json::json!({ "parallel": false })),
-            Err(e) => respond::<akita::ParReport>(Err(e)),
-        },
+        // The engine is always serial. The route stays so dashboards that
+        // poll it keep getting a 200.
+        ("GET", "/api/parallel") => ok_json(&serde_json::json!({ "parallel": false })),
         ("GET", "/api/profile") => {
             let top = req
                 .query_param("top")

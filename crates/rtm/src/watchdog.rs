@@ -305,35 +305,6 @@ impl Shared {
             );
             return report;
         };
-        // Parallel engine: a run wedged at a window barrier is
-        // backpressure in one partition holding up the rest — a livelock
-        // verdict would send the user hunting for a spinning handler that
-        // does not exist. The partition report carries the evidence.
-        if let Ok(Some(par)) = self.client.parallel() {
-            if let Some(part) = par.wedged_partition() {
-                report.kind = StallKind::Backpressure;
-                report.detail = format!(
-                    "parallel window barrier cannot advance: partition \
-                     \"{}\" is wedged ({} dock-held message(s), {} stalled \
-                     connection(s), {} blocked sender(s)) while the other \
-                     {} partition(s) wait at the barrier",
-                    part.name,
-                    part.dock_pending,
-                    part.stalled_conns.len(),
-                    part.blocked_senders,
-                    par.partitions.len().saturating_sub(1),
-                );
-                report.suspects = part
-                    .stalled_conns
-                    .iter()
-                    .map(|c| format!("{}: stalled delivery in partition \"{}\"", c, part.name))
-                    .collect();
-                if let Ok(analysis) = self.client.analysis() {
-                    report.cycles = analysis.deadlock.cycles;
-                }
-                return report;
-            }
-        }
         if status.queue_len == 0 || state == RunState::Idle {
             match self.client.analysis() {
                 Ok(analysis) if analysis.deadlock.is_deadlocked() => {

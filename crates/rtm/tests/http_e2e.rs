@@ -467,6 +467,17 @@ fn topology_and_schedule_endpoints() {
 }
 
 #[test]
+fn parallel_route_reports_the_serial_engine() {
+    // Dashboards poll `/api/parallel` unconditionally; the engine is
+    // serial, and the route must say so with a 200, not an error.
+    let rig = launch(100_000, None);
+    let r = client::get(rig.addr, "/api/parallel").expect("parallel");
+    assert_eq!(r.status, 200, "parallel: {}", r.body);
+    assert_eq!(r.json().unwrap()["parallel"], false, "{}", r.body);
+    terminate(rig);
+}
+
+#[test]
 fn trace_ring_collects_recent_events_over_http() {
     let rig = launch(400_000, None);
     // Disabled by default: empty.
