@@ -10,15 +10,15 @@
 //!
 //! # Hot path (see DESIGN.md, "Engine hot path")
 //!
-//! Per dispatched event the seed engine paid a heap push/pop, a
-//! `HashSet<(ComponentId, VTime)>` insert+remove for tick dedup, an
-//! unconditional `try_recv` on the query channel, and two atomic stores.
-//! The current engine replaces all four on the common path:
+//! Per dispatched event the engine neither sifts a heap nor hashes:
 //!
-//! - same-cycle events ride the [`EventQueue`] ring lane (O(1), no heap
-//!   traffic);
-//! - tick dedup is an epoch-stamped per-component slot pair
-//!   ([`TickDedup`]) — O(1), no hashing;
+//! - the [`EventQueue`] keeps one FIFO bucket per distinct pending time
+//!   over a single event slab; push appends to a bucket near the front,
+//!   pop takes the front bucket's head, and the order is exactly a stable
+//!   `(time, seq)` heap's;
+//! - tick dedup ([`TickDedup`]) keeps each component's pending tick times
+//!   in two inline slots plus a short per-component list, scanned
+//!   linearly — exact, so no tick is ever dropped or duplicated;
 //! - the query channel is only drained when [`SimControl`]'s pending-query
 //!   counter (bumped by [`QueryClient`]) is non-zero;
 //! - the `now`/`events` atomics are published every
@@ -26,9 +26,8 @@
 //!   a query is served, the engine pauses/idles, or a run returns — so the
 //!   monitor never observes a stale count when it actually looks.
 //!
-//! Each optimization can be disabled via [`EngineTuning`] to recover the
-//! seed behaviour for ablation benchmarks, and the integration tests prove
-//! both configurations dispatch bit-identical event sequences.
+//! The last two are [`EngineTuning`] knobs; every setting dispatches the
+//! same event sequence.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -57,19 +56,12 @@ use crate::time::VTime;
 
 /// Hot-path tuning knobs for the engine loop.
 ///
-/// The default ([`EngineTuning::fast`]) enables every fast path; the
-/// [`EngineTuning::seed`] preset reproduces the original engine's per-event
-/// costs (single-heap queue, hashing tick dedup, unconditional channel
-/// polling, per-event atomic publishes) for before/after measurement —
-/// `rtm-bench`'s `bench_engine` harness runs both and emits
-/// `BENCH_engine.json`. Every configuration dispatches the *same* event
-/// sequence; only constant factors differ.
+/// The default ([`EngineTuning::fast`]) polls the query channel only when a
+/// query is pending and publishes the lock-free `now`/`events` view in
+/// batches. Every configuration dispatches the *same* event sequence; only
+/// constant factors differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineTuning {
-    /// Use the same-cycle ring lane in the event queue.
-    pub ring_lane: bool,
-    /// Use epoch-stamped per-component tick dedup instead of a `HashSet`.
-    pub epoch_dedup: bool,
     /// Drain the query channel only when a query is actually pending.
     pub demand_polling: bool,
     /// Publish the `now`/`events` atomics every N events (min 1). Exact
@@ -81,20 +73,8 @@ impl EngineTuning {
     /// Every fast path on (the default).
     pub const fn fast() -> Self {
         EngineTuning {
-            ring_lane: true,
-            epoch_dedup: true,
             demand_polling: true,
             publish_batch: 1024,
-        }
-    }
-
-    /// The seed engine's per-event behaviour, for ablation baselines.
-    pub const fn seed() -> Self {
-        EngineTuning {
-            ring_lane: false,
-            epoch_dedup: false,
-            demand_polling: false,
-            publish_batch: 1,
         }
     }
 }
@@ -112,97 +92,72 @@ const NO_TICK: u64 = u64::MAX;
 /// Bookkeeping that guarantees at most one queued `Tick` per
 /// `(component, time)` pair.
 ///
-/// The `Epoch` representation stores, per component, the times of its
-/// pending ticks in two inline slots — the stamp *is* the scheduled time,
-/// so nothing needs clearing as the clock advances, and the common
-/// `{now, next-cycle}` pattern never hashes. A third concurrent pending
-/// time (rare: driver-style components scheduling far-future wakeups while
-/// active) spills into a small overflow set. `Hash` is the seed's exact
-/// representation, kept for the ablation benchmarks; both are exact, so
-/// the dispatched event sequence is identical either way.
+/// Each component keeps the times of its pending ticks in two inline
+/// slots — the common `{now, next-cycle}` pair — and any further ones in a
+/// short list scanned linearly. A component has few pending tick times at
+/// once (about a connection's latency divided by its clock period), so
+/// the scan is shorter than a hash. The record is exact: a dropped or
+/// duplicated tick would change the simulation.
+#[derive(Debug, Default)]
+struct TickDedup {
+    comps: Vec<PendingTicks>,
+}
+
+/// One component's pending tick times (picoseconds).
 #[derive(Debug)]
-enum TickDedup {
-    Epoch {
-        slots: Vec<[u64; 2]>,
-        overflow: HashSet<(u32, u64)>,
-    },
-    Hash(HashSet<(ComponentId, VTime)>),
+struct PendingTicks {
+    slots: [u64; 2],
+    more: Vec<u64>,
+}
+
+impl Default for PendingTicks {
+    fn default() -> Self {
+        PendingTicks {
+            slots: [NO_TICK; 2],
+            more: Vec::new(),
+        }
+    }
 }
 
 impl TickDedup {
-    fn epoch() -> Self {
-        TickDedup::Epoch {
-            slots: Vec::new(),
-            overflow: HashSet::new(),
-        }
-    }
-
-    fn hash() -> Self {
-        TickDedup::Hash(HashSet::new())
-    }
-
     /// Records a pending tick; returns `false` when one is already queued
     /// for this exact `(component, time)`.
     #[inline]
     fn insert(&mut self, component: ComponentId, t: VTime) -> bool {
-        match self {
-            TickDedup::Epoch { slots, overflow } => {
-                let i = component.index();
-                let t = t.ps();
-                debug_assert_ne!(t, NO_TICK, "VTime::MAX is not a schedulable tick time");
-                if i >= slots.len() {
-                    slots.resize(i + 1, [NO_TICK; 2]);
-                }
-                let s = &mut slots[i];
-                if s[0] == t || s[1] == t {
-                    return false;
-                }
-                if !overflow.is_empty() && overflow.contains(&(component.as_u32(), t)) {
-                    return false;
-                }
-                if s[0] == NO_TICK {
-                    s[0] = t;
-                    true
-                } else if s[1] == NO_TICK {
-                    s[1] = t;
-                    true
-                } else {
-                    overflow.insert((component.as_u32(), t))
-                }
-            }
-            TickDedup::Hash(set) => set.insert((component, t)),
+        let i = component.index();
+        let t = t.ps();
+        debug_assert_ne!(t, NO_TICK, "VTime::MAX is not a schedulable tick time");
+        if i >= self.comps.len() {
+            self.comps.resize_with(i + 1, PendingTicks::default);
         }
+        let p = &mut self.comps[i];
+        if p.slots[0] == t || p.slots[1] == t || p.more.contains(&t) {
+            return false;
+        }
+        if p.slots[0] == NO_TICK {
+            p.slots[0] = t;
+        } else if p.slots[1] == NO_TICK {
+            p.slots[1] = t;
+        } else {
+            p.more.push(t);
+        }
+        true
     }
 
     /// Clears the pending record after the tick is dispatched.
     #[inline]
     fn remove(&mut self, component: ComponentId, t: VTime) {
-        match self {
-            TickDedup::Epoch { slots, overflow } => {
-                let i = component.index();
-                let t = t.ps();
-                if let Some(s) = slots.get_mut(i) {
-                    if s[0] == t {
-                        s[0] = NO_TICK;
-                        return;
-                    }
-                    if s[1] == t {
-                        s[1] = NO_TICK;
-                        return;
-                    }
-                }
-                if !overflow.is_empty() {
-                    overflow.remove(&(component.as_u32(), t));
-                }
-            }
-            TickDedup::Hash(set) => {
-                set.remove(&(component, t));
-            }
+        let t = t.ps();
+        let Some(p) = self.comps.get_mut(component.index()) else {
+            return;
+        };
+        if p.slots[0] == t {
+            p.slots[0] = NO_TICK;
+        } else if p.slots[1] == t {
+            p.slots[1] = NO_TICK;
+        } else if let Some(k) = p.more.iter().position(|&m| m == t) {
+            p.more.swap_remove(k);
         }
-    }
-
-    fn is_epoch(&self) -> bool {
-        matches!(self, TickDedup::Epoch { .. })
     }
 }
 
@@ -423,7 +378,7 @@ impl Scheduler {
             queue: EventQueue::new(),
             now: VTime::ZERO,
             current: ComponentId::from_index(0),
-            pending_ticks: TickDedup::epoch(),
+            pending_ticks: TickDedup::default(),
         }
     }
 
@@ -559,27 +514,12 @@ impl Simulation {
         self.query_poll_interval = every_n_events.max(1);
     }
 
-    /// Reconfigures the engine hot path (safe at any point; pending tick
-    /// bookkeeping is migrated when the dedup representation changes).
+    /// Reconfigures the engine hot path (safe at any point).
     pub fn set_tuning(&mut self, tuning: EngineTuning) {
         self.tuning = EngineTuning {
             publish_batch: tuning.publish_batch.max(1),
             ..tuning
         };
-        self.sched.queue.set_ring_enabled(tuning.ring_lane);
-        if tuning.epoch_dedup != self.sched.pending_ticks.is_epoch() {
-            let mut fresh = if tuning.epoch_dedup {
-                TickDedup::epoch()
-            } else {
-                TickDedup::hash()
-            };
-            for ev in self.sched.queue.events() {
-                if ev.kind == EventKind::Tick {
-                    fresh.insert(ev.component, ev.time);
-                }
-            }
-            self.sched.pending_ticks = fresh;
-        }
     }
 
     /// The active hot-path configuration.

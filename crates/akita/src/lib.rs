@@ -74,7 +74,7 @@ pub use faults::{
     FaultHub, FaultInstallSummary, FaultKind, FaultPlan, FaultReport, FaultRule, FaultRuleStatus,
 };
 pub use hook::{EventCountHook, EventCounts, Hook};
-pub use ids::{ComponentId, MsgId, PortId};
+pub use ids::{ComponentId, IdBuildHasher, IdHasher, MsgId, PortId};
 pub use msg::{downcast_msg, Msg, MsgExt, MsgMeta};
 pub use port::{Port, PortSnapshot};
 pub use profile::{ProfileEdge, ProfileNode, ProfileReport};

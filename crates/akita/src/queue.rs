@@ -4,28 +4,34 @@
 //! for the same time pop in the order they were scheduled (FIFO tie-break by
 //! sequence number). Stability keeps simulations deterministic.
 //!
-//! # Two lanes
+//! # Time buckets
 //!
-//! Cycle-level workloads schedule the overwhelming majority of events *at
-//! the current virtual time* (same-cycle wakes and ticks). A binary heap
-//! pays `O(log n)` sift traffic for every one of them, so the queue keeps
-//! two lanes:
+//! A cycle-level simulation has few distinct pending times at once — the
+//! current cycle, the next one, and one per connection latency in flight —
+//! but many events per time. The queue therefore keeps one FIFO **bucket**
+//! per distinct pending time, in a [`VecDeque`] sorted by time, and neither
+//! sifts a heap nor hashes:
 //!
-//! - a **ring lane** ([`VecDeque`]): events pushed at the lane's current
-//!   time. Sequence numbers are allocated monotonically, so appending keeps
-//!   the ring FIFO-sorted and push/pop are O(1) with no hashing or sifting;
-//! - a **heap lane** ([`BinaryHeap`]): events at any other time.
+//! - [`EventQueue::push`] appends to the bucket for its time, or inserts a
+//!   new bucket. It scans the first few buckets linearly (almost every push
+//!   lands there: same cycle, next cycle) and binary-searches the rest.
+//! - [`EventQueue::pop`] takes the head of the front bucket and drops the
+//!   bucket once it is empty.
 //!
-//! [`EventQueue::pop`] takes the global `(time, seq)` minimum of the two
-//! lane heads, so the pop order is *bit-identical* to a single stable heap
-//! (the `proptests` module proves this differentially against a reference
-//! heap). When the ring drains, the next heap pop advances the lane to its
-//! time. The ring lane can be disabled with [`EventQueue::set_ring_enabled`]
-//! to recover the seed engine's single-heap behaviour for ablation
-//! benchmarks (`benches/event_queue.rs`).
+//! Events live in **one slab** with a free list; a bucket is a
+//! `(time, head, tail)` singly linked list through the slab. Event storage
+//! therefore grows with the number of events pending at once, never with
+//! the number of buckets created over a run, and a bucket costs 16 bytes.
+//!
+//! # Why the order is the stable heap's order
+//!
+//! Sequence numbers come from one counter that only grows, so appending to
+//! a bucket keeps it sorted by `seq`; buckets are sorted by time. The head
+//! of the front bucket is therefore the global `(time, seq)` minimum — the
+//! event a single stable binary heap keyed on `(time, seq)` pops. The
+//! `proptests` module checks this differentially against such a heap.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -67,123 +73,166 @@ impl PartialOrd for Ev {
     }
 }
 
-/// A stable min-priority queue of [`Ev`]s with a same-cycle fast path.
+/// End of a slab list (bucket tail, or the free list's end).
+const NIL: u32 = u32::MAX;
+
+/// Buckets scanned linearly before [`EventQueue::push`] binary-searches.
+const LINEAR_SCAN: usize = 8;
+
+/// One pending event in the slab; its time is its bucket's.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    seq: u64,
+    kind: EventKind,
+    component: ComponentId,
+    /// The next event in the same bucket, or in the free list.
+    next: u32,
+}
+
+/// The FIFO list of pending events at one virtual time.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    time: VTime,
+    head: u32,
+    tail: u32,
+}
+
+/// A stable min-priority queue of [`Ev`]s: time-sorted FIFO buckets over
+/// one event slab.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Same-cycle lane: events at `lane_time` pushed while that time was
-    /// current. Seqs are monotonic, so the ring is always FIFO-sorted.
-    ring: VecDeque<Ev>,
-    /// The virtual time the ring lane serves.
-    lane_time: VTime,
-    /// Future-time (and rare out-of-lane) events.
-    heap: BinaryHeap<Reverse<Ev>>,
+    /// One bucket per distinct pending time, sorted by time.
+    buckets: VecDeque<Bucket>,
+    /// Every event node, live or free.
+    slab: Vec<Node>,
+    /// Head of the free-node list.
+    free: u32,
+    len: usize,
     next_seq: u64,
-    /// When false, every push goes through the heap (seed behaviour).
-    ring_enabled: bool,
 }
 
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            ring: VecDeque::new(),
-            lane_time: VTime::ZERO,
-            heap: BinaryHeap::new(),
+            buckets: VecDeque::new(),
+            slab: Vec::new(),
+            free: NIL,
+            len: 0,
             next_seq: 0,
-            ring_enabled: true,
         }
     }
 }
 
 impl EventQueue {
-    /// Creates an empty queue (ring lane enabled).
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue::default()
-    }
-
-    /// Enables or disables the same-cycle ring lane. Disabling drains the
-    /// ring into the heap, restoring the single-level seed behaviour —
-    /// pop order is identical either way; only the constant factor changes.
-    pub fn set_ring_enabled(&mut self, on: bool) {
-        self.ring_enabled = on;
-        if !on {
-            for ev in self.ring.drain(..) {
-                self.heap.push(Reverse(ev));
-            }
-        }
     }
 
     /// Schedules an event for `component` at `time`.
     #[inline]
     pub fn push(&mut self, time: VTime, component: ComponentId, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let ev = Ev {
-            time,
-            seq,
-            component,
+        let node = Node {
+            seq: self.next_seq,
             kind,
+            component,
+            next: NIL,
         };
-        if self.ring_enabled && time == self.lane_time {
-            self.ring.push_back(ev);
+        self.next_seq += 1;
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+            self.slab.push(node);
+            idx
         } else {
-            self.heap.push(Reverse(ev));
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = node;
+            idx
+        };
+        self.len += 1;
+        match self.find(time) {
+            Ok(b) => {
+                let bucket = &mut self.buckets[b];
+                self.slab[bucket.tail as usize].next = idx;
+                bucket.tail = idx;
+            }
+            Err(b) => self.buckets.insert(
+                b,
+                Bucket {
+                    time,
+                    head: idx,
+                    tail: idx,
+                },
+            ),
         }
+    }
+
+    /// `Ok(i)` when bucket `i` holds `time`, else `Err(i)` where a bucket
+    /// for `time` belongs.
+    #[inline]
+    fn find(&self, time: VTime) -> Result<usize, usize> {
+        for (i, b) in self.buckets.iter().take(LINEAR_SCAN).enumerate() {
+            if b.time >= time {
+                return if b.time == time { Ok(i) } else { Err(i) };
+            }
+        }
+        if self.buckets.len() <= LINEAR_SCAN {
+            return Err(self.buckets.len());
+        }
+        self.buckets.binary_search_by_key(&time, |b| b.time)
     }
 
     /// Removes and returns the earliest event (smallest `(time, seq)`).
     #[inline]
     pub fn pop(&mut self) -> Option<Ev> {
-        let take_heap = match (self.ring.front(), self.heap.peek()) {
-            (Some(r), Some(Reverse(h))) => (h.time, h.seq) < (r.time, r.seq),
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (None, None) => return None,
-        };
-        if take_heap {
-            let Reverse(ev) = self.heap.pop().expect("heap checked non-empty");
-            if self.ring.is_empty() {
-                // Advance the lane: same-time pushes that follow take the
-                // O(1) ring path.
-                self.lane_time = ev.time;
-            }
-            Some(ev)
+        let front = self.buckets.front_mut()?;
+        let (time, idx) = (front.time, front.head);
+        let node = self.slab[idx as usize];
+        if idx == front.tail {
+            self.buckets.pop_front();
         } else {
-            self.ring.pop_front()
+            front.head = node.next;
         }
+        self.slab[idx as usize].next = self.free;
+        self.free = idx;
+        self.len -= 1;
+        Some(Ev {
+            time,
+            seq: node.seq,
+            component: node.component,
+            kind: node.kind,
+        })
     }
 
     /// The time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<VTime> {
-        let ring = self.ring.front().map(|ev| ev.time);
-        let heap = self.heap.peek().map(|&Reverse(ev)| ev.time);
-        match (ring, heap) {
-            (Some(r), Some(h)) => Some(r.min(h)),
-            (r, h) => r.or(h),
-        }
+        self.buckets.front().map(|b| b.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.ring.len() + self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty() && self.heap.is_empty()
-    }
-
-    /// All pending events, in no particular order (used to rebuild tick
-    /// bookkeeping when the dedup representation changes).
-    pub(crate) fn events(&self) -> impl Iterator<Item = &Ev> {
-        self.ring
-            .iter()
-            .chain(self.heap.iter().map(|Reverse(ev)| ev))
+        self.len == 0
     }
 
     /// The components with at least one pending event, in no particular
     /// order (used by the topology analyzer's reachability pass).
     pub fn scheduled_components(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        self.events().map(|ev| ev.component)
+        self.buckets.iter().flat_map(move |b| {
+            let mut at = b.head;
+            std::iter::from_fn(move || {
+                if at == NIL {
+                    return None;
+                }
+                let node = &self.slab[at as usize];
+                at = node.next;
+                Some(node.component)
+            })
+        })
     }
 }
 
@@ -222,17 +271,15 @@ mod tests {
 
     #[test]
     fn same_time_fifo_survives_lane_advance() {
-        // Pushes before and after the lane reaches a time must interleave
-        // in seq order: heap-resident events at t pop before ring events
-        // pushed at t later.
+        // Pushes to a time before and after the clock reaches it must pop
+        // in seq order: both land in the same bucket, in push order.
         let mut q = EventQueue::new();
         let t = VTime::from_ns(2);
-        q.push(t, cid(0), EventKind::Tick); // heap (lane at 0)
-        q.push(t, cid(1), EventKind::Tick); // heap
-        let first = q.pop().unwrap(); // advances lane to t
+        q.push(t, cid(0), EventKind::Tick);
+        q.push(t, cid(1), EventKind::Tick);
+        let first = q.pop().unwrap();
         assert_eq!(first.component, cid(0));
-        q.push(t, cid(2), EventKind::Tick); // ring (lane now t)
-                                            // cid(1) is in the heap with a smaller seq than cid(2) in the ring.
+        q.push(t, cid(2), EventKind::Tick);
         assert_eq!(q.pop().unwrap().component, cid(1));
         assert_eq!(q.pop().unwrap().component, cid(2));
         assert!(q.pop().is_none());
@@ -250,9 +297,10 @@ mod tests {
 
     #[test]
     fn peek_time_sees_the_ring_lane() {
+        // The current-time bucket is seen ahead of a later one.
         let mut q = EventQueue::new();
-        q.push(VTime::ZERO, cid(0), EventKind::Tick); // ring lane at t=0
-        q.push(VTime::from_ns(5), cid(1), EventKind::Tick); // heap
+        q.push(VTime::ZERO, cid(0), EventKind::Tick);
+        q.push(VTime::from_ns(5), cid(1), EventKind::Tick);
         assert_eq!(q.peek_time(), Some(VTime::ZERO));
     }
 
@@ -264,22 +312,42 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_ring_preserves_order() {
+    fn storage_grows_with_pending_events_not_buckets() {
+        // 10,000 distinct times pass through the queue, never more than
+        // three pending at once: the slab stays at three nodes and the
+        // bucket list at three entries.
         let mut q = EventQueue::new();
-        let t = VTime::from_ns(1);
-        q.push(VTime::ZERO, cid(0), EventKind::Tick); // lands in the ring
-        q.push(t, cid(1), EventKind::Tick);
-        q.set_ring_enabled(false); // drains the ring into the heap
-        q.push(VTime::ZERO, cid(2), EventKind::Tick);
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.component.index())
-            .collect();
-        assert_eq!(order, [0, 2, 1]);
+        for t in 0..3u64 {
+            q.push(VTime::from_ps(t), cid(0), EventKind::Tick);
+        }
+        for t in 3..10_000u64 {
+            let ev = q.pop().unwrap();
+            assert_eq!(ev.time.ps(), t - 3);
+            q.push(VTime::from_ps(t), cid(0), EventKind::Tick);
+        }
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.slab.len(), 3);
+        assert_eq!(q.buckets.len(), 3);
+    }
+
+    #[test]
+    fn scheduled_components_lists_every_pending_event() {
+        let mut q = EventQueue::new();
+        for (t, c) in [(3, 0), (1, 1), (3, 2), (2, 3), (1, 4)] {
+            q.push(VTime::from_ns(t), cid(c), EventKind::Tick);
+        }
+        q.pop(); // cid(1) at 1 ns
+        let mut got: Vec<usize> = q.scheduled_components().map(ComponentId::index).collect();
+        got.sort_unstable();
+        assert_eq!(got, [0, 2, 3, 4]);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     /// Deterministic xorshift64* generator so the randomized coverage below
@@ -297,8 +365,9 @@ mod proptests {
         }
     }
 
-    /// The seed engine's queue, verbatim: a single stable binary heap.
-    /// The two-level queue must be observationally identical to this.
+    /// The reference model: a single stable binary heap keyed on
+    /// `(time, seq)`. The bucketed queue must be observationally identical
+    /// to it.
     #[derive(Default)]
     struct RefQueue {
         heap: BinaryHeap<Reverse<Ev>>,
@@ -320,6 +389,19 @@ mod proptests {
         fn pop(&mut self) -> Option<Ev> {
             self.heap.pop().map(|Reverse(ev)| ev)
         }
+    }
+
+    /// Pops both queues to the end; the tails must be identical.
+    fn drain_both(q: &mut EventQueue, r: &mut RefQueue) {
+        loop {
+            let a = q.pop();
+            let b = r.pop();
+            assert_eq!(a, b, "queues diverged while draining");
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(q.is_empty());
     }
 
     /// Events always pop sorted by (time, insertion order).
@@ -374,9 +456,9 @@ mod proptests {
         }
     }
 
-    /// The differential determinism proof: the two-level queue and the seed
-    /// heap pop *identical* event sequences — same `(time, seq, component,
-    /// kind)` tuples in the same order — under random push/pop
+    /// The differential determinism proof: the bucketed queue and the
+    /// reference heap pop *identical* event sequences — same `(time, seq,
+    /// component, kind)` tuples in the same order — under random push/pop
     /// interleavings biased toward the engine's same-cycle pattern.
     #[test]
     fn two_level_queue_matches_reference_heap_exactly() {
@@ -389,7 +471,7 @@ mod proptests {
             let mut now = 0u64;
             for _ in 0..ops {
                 match rng.next() % 10 {
-                    // Same-cycle push — the hot case the ring lane serves.
+                    // Same-cycle push — the hot case.
                     0..=4 => {
                         let c = ComponentId::from_index((rng.next() % 8) as usize);
                         q.push(VTime::from_ps(now), c, EventKind::Tick);
@@ -414,51 +496,66 @@ mod proptests {
                     }
                 }
             }
-            // Drain: the tails must be identical too.
-            loop {
-                let a = q.pop();
-                let b = r.pop();
-                assert_eq!(a, b, "queues diverged while draining");
-                if a.is_none() {
-                    break;
-                }
-            }
+            drain_both(&mut q, &mut r);
         }
     }
 
-    /// Same differential, ring lane disabled: the ablation mode is also
-    /// observationally the reference heap.
+    /// The same differential with many buckets live at once: past the
+    /// linear scan, so pushes binary-search, land mid-list (new buckets
+    /// inserted between existing ones, or appended to a deep bucket), and
+    /// some go far into the future. Also checks that the slab never holds
+    /// more nodes than were ever pending at once.
     #[test]
-    fn heap_only_mode_matches_reference_heap_exactly() {
-        let mut rng = XorShift(0x1234_5678_9ABC_DEF1);
-        for _case in 0..32 {
-            let ops = (rng.next() % 299 + 1) as usize;
+    fn many_buckets_match_reference_heap_exactly() {
+        let mut rng = XorShift(0x5851_F42D_4C95_7F2D);
+        let mut max_buckets = 0;
+        for _case in 0..64 {
+            let ops = (rng.next() % 1500 + 500) as usize;
             let mut q = EventQueue::new();
-            q.set_ring_enabled(false);
             let mut r = RefQueue::default();
             let mut now = 0u64;
+            let mut max_pending = 0;
             for _ in 0..ops {
-                if rng.next().is_multiple_of(3) {
-                    let a = q.pop();
-                    assert_eq!(a, r.pop());
-                    if let Some(ev) = a {
-                        now = ev.time.ps();
+                match rng.next() % 16 {
+                    0..=2 => {
+                        let c = ComponentId::from_index((rng.next() % 8) as usize);
+                        q.push(VTime::from_ps(now), c, EventKind::Tick);
+                        r.push(VTime::from_ps(now), c, EventKind::Tick);
                     }
-                } else {
-                    let t = now + rng.next() % 3;
-                    let c = ComponentId::from_index((rng.next() % 4) as usize);
-                    q.push(VTime::from_ps(t), c, EventKind::Tick);
-                    r.push(VTime::from_ps(t), c, EventKind::Tick);
+                    // Mid-list: one of ~64 near-future times, often
+                    // already a bucket deep in the list.
+                    3..=10 => {
+                        let t = now + (rng.next() % 64 + 1) * 10;
+                        let c = ComponentId::from_index((rng.next() % 8) as usize);
+                        let k = EventKind::Custom(rng.next() % 4);
+                        q.push(VTime::from_ps(t), c, k);
+                        r.push(VTime::from_ps(t), c, k);
+                    }
+                    // Far future.
+                    11 => {
+                        let t = now + 1_000_000_000 + rng.next() % 1_000_000;
+                        let c = ComponentId::from_index((rng.next() % 8) as usize);
+                        q.push(VTime::from_ps(t), c, EventKind::Tick);
+                        r.push(VTime::from_ps(t), c, EventKind::Tick);
+                    }
+                    _ => {
+                        let a = q.pop();
+                        assert_eq!(a, r.pop(), "queues diverged mid-interleaving");
+                        if let Some(ev) = a {
+                            now = ev.time.ps();
+                        }
+                    }
                 }
+                max_pending = max_pending.max(q.len());
+                max_buckets = max_buckets.max(q.buckets.len());
+                assert_eq!(q.len(), r.heap.len());
             }
-            loop {
-                let a = q.pop();
-                let b = r.pop();
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
+            assert!(q.slab.len() <= max_pending, "slab outgrew the pending set");
+            drain_both(&mut q, &mut r);
         }
+        assert!(
+            max_buckets > 4 * LINEAR_SCAN,
+            "the binary-search path never ran ({max_buckets} buckets)"
+        );
     }
 }

@@ -8,8 +8,8 @@ use std::thread;
 use std::time::Duration;
 
 use akita::{
-    impl_msg, CompBase, Component, ComponentState, Ctx, DirectConnection, EngineTuning, Freq,
-    MsgMeta, Port, RunState, Simulation, StopReason, VTime,
+    impl_msg, CompBase, Component, ComponentState, Ctx, DirectConnection, Freq, MsgMeta, Port,
+    RunState, Simulation, StopReason, VTime,
 };
 
 #[derive(Debug)]
@@ -581,39 +581,90 @@ impl akita::Hook for EvRecorder {
     }
 }
 
-fn run_chain_with_tuning(tuning: EngineTuning) -> (EvLog, akita::RunSummary, Vec<u64>) {
-    let mut chain = build_chain(300, 2, 7);
-    chain.sim.set_tuning(tuning);
-    let log = Rc::new(RefCell::new(Vec::new()));
-    chain.sim.add_hook(EvRecorder {
-        log: Rc::clone(&log),
-    });
-    let summary = chain.sim.run();
-    let received = chain.consumer.borrow().received.clone();
-    (log.take(), summary, received)
+/// FNV-1a over the log's `(time, seq, component, kind)` tuples, each field
+/// as little-endian `u64`s (`kind` as a `(0, 0)` tick or `(1, code)`).
+fn log_digest(log: &EvLog) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &(time, seq, component, kind) in log {
+        eat(time);
+        eat(seq);
+        eat(component as u64);
+        match kind {
+            akita::EventKind::Tick => {
+                eat(0);
+                eat(0);
+            }
+            akita::EventKind::Custom(code) => {
+                eat(1);
+                eat(code);
+            }
+        }
+    }
+    h
 }
 
-/// The differential determinism proof at the engine level: the fast hot
-/// path (ring lane, epoch dedup, demand polling, batched publishes) and
-/// the seed configuration dispatch bit-identical event sequences on a
-/// backpressured chain.
+/// Attaches an [`EvRecorder`], runs to completion and returns the log.
+fn run_logged(sim: &mut Simulation) -> (EvLog, akita::RunSummary) {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    sim.add_hook(EvRecorder {
+        log: Rc::clone(&log),
+    });
+    let summary = sim.run();
+    (log.take(), summary)
+}
+
+/// The dispatch order is pinned: a backpressured chain dispatches exactly
+/// the event sequence recorded from the binary-heap engine the bucketed
+/// queue replaced (log length and digest, end time, delivered packets).
 #[test]
-fn fast_and_seed_tunings_dispatch_identical_event_sequences() {
-    let (fast_log, fast_summary, fast_received) = run_chain_with_tuning(EngineTuning::fast());
-    let (seed_log, seed_summary, seed_received) = run_chain_with_tuning(EngineTuning::seed());
-    assert_eq!(fast_summary, seed_summary);
-    assert_eq!(fast_received, seed_received);
-    assert!(!fast_log.is_empty());
-    assert_eq!(fast_log, seed_log, "event sequences diverged");
+fn backpressured_chain_dispatch_order_is_pinned() {
+    let mut chain = build_chain(300, 2, 7);
+    let (log, summary) = run_logged(&mut chain.sim);
+    assert_eq!(
+        summary,
+        akita::RunSummary {
+            events: 3298,
+            end_time: VTime::from_ps(1_803_000),
+            reason: StopReason::Completed,
+        }
+    );
+    assert_eq!(log.len(), 3298);
+    assert_eq!(
+        log_digest(&log),
+        0x26b4_cde2_a7f9_fb9b,
+        "event sequence changed"
+    );
+    assert_eq!(
+        chain.consumer.borrow().received,
+        (0..300).collect::<Vec<u64>>()
+    );
 }
 
 /// A component that fans ticks out to several future times, with
 /// duplicates, each time it runs — more than two concurrent pending ticks
-/// per component, exercising the epoch dedup's overflow path.
+/// per component, exercising the dedup's spill list.
 struct Burst {
     base: CompBase,
     remaining: u32,
     ticks: u64,
+    offsets_ns: Vec<u64>,
+}
+
+impl Burst {
+    fn new(name: &str, remaining: u32, offsets_ns: Vec<u64>) -> Self {
+        Burst {
+            base: CompBase::new("Burst", name),
+            remaining,
+            ticks: 0,
+            offsets_ns,
+        }
+    }
 }
 
 impl Component for Burst {
@@ -631,7 +682,7 @@ impl Component for Burst {
         self.remaining -= 1;
         let id = ctx.current();
         let now = ctx.now();
-        for dt in [1u64, 2, 3, 1, 2] {
+        for &dt in &self.offsets_ns {
             // Includes duplicates: each (component, time) may enqueue once.
             ctx.schedule_tick(id, now + VTime::from_ns(dt));
         }
@@ -639,34 +690,51 @@ impl Component for Burst {
     }
 }
 
+/// The `Burst` fan-out's dispatch order is pinned to the sequence recorded
+/// from the hashing tick dedup the inline slots and spill list replaced.
 #[test]
-fn tick_dedup_is_exact_across_representations() {
-    let run = |tuning: EngineTuning| {
-        let mut sim = Simulation::new();
-        let mut handles = Vec::new();
-        for i in 0..3 {
-            let (id, rc) = sim.register(Burst {
-                base: CompBase::new("Burst", format!("B{i}")),
-                remaining: 8,
-                ticks: 0,
-            });
-            sim.wake_at(id, VTime::ZERO);
-            handles.push(rc);
+fn burst_fan_out_dispatch_order_is_pinned() {
+    let mut sim = Simulation::new();
+    let mut handles = Vec::new();
+    for i in 0..3 {
+        let (id, rc) = sim.register(Burst::new(&format!("B{i}"), 8, vec![1, 2, 3, 1, 2]));
+        sim.wake_at(id, VTime::ZERO);
+        handles.push(rc);
+    }
+    let (log, summary) = run_logged(&mut sim);
+    assert_eq!(
+        summary,
+        akita::RunSummary {
+            events: 33,
+            end_time: VTime::from_ps(10_000),
+            reason: StopReason::Completed,
         }
-        sim.set_tuning(tuning);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.add_hook(EvRecorder {
-            log: Rc::clone(&log),
-        });
-        let summary = sim.run();
-        let ticks: Vec<u64> = handles.iter().map(|h| h.borrow().ticks).collect();
-        (log.take(), summary, ticks)
-    };
-    let fast = run(EngineTuning::fast());
-    let seed = run(EngineTuning::seed());
-    assert_eq!(fast, seed, "dedup representations disagreed");
-    // Three distinct future times per burst: the overflow path really ran.
-    assert!(fast.2.iter().all(|&t| t > 8), "bursts must re-tick");
+    );
+    assert_eq!(log.len(), 33);
+    assert_eq!(
+        log_digest(&log),
+        0x639d_078c_5229_0986,
+        "event sequence changed"
+    );
+    let ticks: Vec<u64> = handles.iter().map(|h| h.borrow().ticks).collect();
+    assert_eq!(ticks, [11, 11, 11]);
+}
+
+/// Fifty distinct pending tick times on one component, each scheduled
+/// twice: every time ticks exactly once, in time order.
+#[test]
+fn tick_dedup_is_exact_with_fifty_pending_times() {
+    let mut sim = Simulation::new();
+    let offsets: Vec<u64> = (1..=50).rev().chain(1..=50).collect();
+    let (id, burst) = sim.register(Burst::new("B", 1, offsets));
+    sim.wake_at(id, VTime::ZERO);
+    sim.wake_at(id, VTime::ZERO);
+    let (log, summary) = run_logged(&mut sim);
+    assert_eq!(summary.events, 51);
+    assert_eq!(burst.borrow().ticks, 51);
+    let times: Vec<u64> = log.iter().map(|e| e.0).collect();
+    let expected: Vec<u64> = (0..=50).map(|ns| ns * 1000).collect();
+    assert_eq!(times, expected);
 }
 
 /// The amortized `now`/`events` publishes must flush exactly whenever the

@@ -1,23 +1,18 @@
-//! Microbenches for the engine hot path: the two-level event queue's ring
-//! lane versus the plain binary heap, and the end-to-end effect of each
-//! [`EngineTuning`] knob on raw event throughput.
+//! Microbenches for the engine hot path: raw push/pop on the bucketed
+//! event queue, and the engine loop's event throughput.
 
 use rtm_bench::micro::bench;
 
-use akita::{
-    CompBase, Component, ComponentId, Ctx, EngineTuning, EventKind, EventQueue, Simulation, VTime,
-};
+use akita::{CompBase, Component, ComponentId, Ctx, EventKind, EventQueue, Simulation, VTime};
 
 const QUEUE_OPS: u64 = 4096;
 
 /// Push/pop `QUEUE_OPS` events that all land on the current virtual time —
 /// the dominant pattern in a busy cycle (every tick, wake, and same-cycle
-/// delivery). The ring lane turns each of these into a deque push/pop.
-fn bench_same_cycle(ring: bool) {
-    let label = if ring { "ring" } else { "heap" };
-    bench(&format!("queue/same_cycle_burst/{label}"), || {
+/// delivery). They all append to the front bucket.
+fn bench_same_cycle() {
+    bench("queue/same_cycle_burst", || {
         let mut q = EventQueue::new();
-        q.set_ring_enabled(ring);
         for i in 0..QUEUE_OPS {
             q.push(
                 VTime::ZERO,
@@ -34,13 +29,11 @@ fn bench_same_cycle(ring: bool) {
 }
 
 /// A mixed stream: mostly same-cycle events with periodic future-time
-/// schedules, popped as the engine would — advancing the lane as time
-/// moves. The realistic steady-state shape.
-fn bench_mixed_stream(ring: bool) {
-    let label = if ring { "ring" } else { "heap" };
-    bench(&format!("queue/mixed_stream/{label}"), || {
+/// schedules, popped as the engine would as time moves. The realistic
+/// steady-state shape.
+fn bench_mixed_stream() {
+    bench("queue/mixed_stream", || {
         let mut q = EventQueue::new();
-        q.set_ring_enabled(ring);
         let mut pushed = 0u64;
         let mut popped = 0u64;
         while let Some(ev) = {
@@ -107,56 +100,16 @@ fn build_spinners(n_components: usize, ticks_each: u64) -> Simulation {
     sim
 }
 
-/// The knob-by-knob ablation: start from the seed configuration and enable
-/// one optimization at a time, then all of them (the default).
-fn bench_tuning_ablation() {
-    let variants: [(&str, EngineTuning); 6] = [
-        ("seed", EngineTuning::seed()),
-        (
-            "ring_lane",
-            EngineTuning {
-                ring_lane: true,
-                ..EngineTuning::seed()
-            },
-        ),
-        (
-            "epoch_dedup",
-            EngineTuning {
-                epoch_dedup: true,
-                ..EngineTuning::seed()
-            },
-        ),
-        (
-            "demand_polling",
-            EngineTuning {
-                demand_polling: true,
-                ..EngineTuning::seed()
-            },
-        ),
-        (
-            "publish_batch",
-            EngineTuning {
-                publish_batch: 1024,
-                ..EngineTuning::seed()
-            },
-        ),
-        ("fast", EngineTuning::fast()),
-    ];
-    for (label, tuning) in variants {
-        bench(&format!("engine/tuning_ablation/{label}"), || {
-            let mut sim = build_spinners(64, 10_000 / 64);
-            sim.set_tuning(tuning);
-            sim.run()
-        });
-    }
+/// 64 components ticking every cycle: the engine loop's per-event cost.
+fn bench_engine_loop() {
+    bench("engine/spinners", || {
+        let mut sim = build_spinners(64, 10_000 / 64);
+        sim.run()
+    });
 }
 
 fn main() {
-    for ring in [false, true] {
-        bench_same_cycle(ring);
-    }
-    for ring in [false, true] {
-        bench_mixed_stream(ring);
-    }
-    bench_tuning_ablation();
+    bench_same_cycle();
+    bench_mixed_stream();
+    bench_engine_loop();
 }

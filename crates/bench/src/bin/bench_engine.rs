@@ -1,11 +1,6 @@
-//! Engine throughput: before/after evidence for the hot-path rework.
-//!
-//! Runs two workloads — the Fig 4 pipeline chain (message-passing,
-//! backpressured) and a stock MCM-GPU platform running FIR — under the
-//! seed engine configuration ([`EngineTuning::seed`]: binary heap only,
-//! hashed tick dedup, unconditional query polling, per-event atomic
-//! publishes) and under the fast hot path ([`EngineTuning::fast`], the
-//! default). Reports events/sec for each and writes
+//! Engine throughput on two workloads — the Fig 4 pipeline chain
+//! (message-passing, backpressured) and a stock MCM-GPU platform running
+//! FIR — with the default engine. Reports events/sec for each and writes
 //! `results/BENCH_engine.json`.
 //!
 //! ```text
@@ -13,12 +8,12 @@
 //! ```
 //!
 //! `--smoke` runs a reduced problem size, writes no file, and exits
-//! nonzero if the fast configuration cannot sustain a modest absolute
+//! nonzero if the engine cannot sustain a modest absolute
 //! floor — a CI sanity gate, deliberately far below real throughput so it
 //! never flakes on a loaded machine.
 //!
 //! Both modes additionally measure the task-tracing overhead: the same
-//! fast configuration with [`akita::trace`] enabled. The tracing-disabled
+//! runs with [`akita::trace`] enabled. The tracing-disabled
 //! numbers are the headline ones (the disabled check is one relaxed
 //! atomic load); the enabled run quantifies what turning the Latency tab
 //! on costs. In `--smoke` mode the traced run must clear the same floor.
@@ -34,7 +29,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use akita::{EngineTuning, ProgressRegistry, Simulation};
+use akita::{ProgressRegistry, Simulation};
 use akita_gpu::{GpuConfig, Platform, PlatformConfig};
 use akita_rtm::{Monitor, WatchdogConfig};
 use akita_workloads::{Fir, Workload};
@@ -42,7 +37,7 @@ use rtm_bench::chain::build_chain_sim;
 use rtm_bench::textfig::print_table;
 use serde_json::json;
 
-/// Absolute events/sec the fast engine must sustain in `--smoke` mode.
+/// Absolute events/sec the engine must sustain in `--smoke` mode.
 const SMOKE_FLOOR_EPS: f64 = 100_000.0;
 
 #[derive(Clone, Copy)]
@@ -52,8 +47,7 @@ struct Measurement {
     eps: f64,
 }
 
-fn measure(sim: &mut Simulation, tuning: EngineTuning) -> Measurement {
-    sim.set_tuning(tuning);
+fn measure(sim: &mut Simulation) -> Measurement {
     let start = Instant::now();
     let summary = sim.run();
     let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -77,10 +71,10 @@ fn best(reps: u32, mut run: impl FnMut() -> Measurement) -> Measurement {
     best
 }
 
-fn run_chain(tasks: u64, tuning: EngineTuning, reps: u32) -> Measurement {
+fn run_chain(tasks: u64, reps: u32) -> Measurement {
     best(reps, || {
         let mut sim = build_chain_sim(tasks);
-        measure(&mut sim, tuning)
+        measure(&mut sim)
     })
 }
 
@@ -99,7 +93,7 @@ fn traced(inner: impl FnOnce() -> Measurement) -> Measurement {
 /// arms the stall heartbeat (no auto-pause — a bench run must not freeze)
 /// and turns per-component activity stamps on, the configuration a user
 /// gets from `rtm-sim run --watchdog`.
-fn run_chain_monitored(tasks: u64, tuning: EngineTuning, reps: u32, watchdog: bool) -> Measurement {
+fn run_chain_monitored(tasks: u64, reps: u32, watchdog: bool) -> Measurement {
     best(reps, || {
         let mut sim = build_chain_sim(tasks);
         let monitor = Arc::new(Monitor::attach(
@@ -116,11 +110,11 @@ fn run_chain_monitored(tasks: u64, tuning: EngineTuning, reps: u32, watchdog: bo
             });
             sim.set_activity_stamps(true);
         }
-        measure(&mut sim, tuning)
+        measure(&mut sim)
     })
 }
 
-fn run_gpu(samples: u64, tuning: EngineTuning, reps: u32) -> Measurement {
+fn run_gpu(samples: u64, reps: u32) -> Measurement {
     best(reps, || {
         let mut platform = Platform::build(PlatformConfig {
             gpu: GpuConfig::scaled(4),
@@ -132,7 +126,7 @@ fn run_gpu(samples: u64, tuning: EngineTuning, reps: u32) -> Measurement {
         };
         fir.enqueue(&mut platform.driver.borrow_mut());
         platform.start();
-        measure(&mut platform.sim, tuning)
+        measure(&mut platform.sim)
     })
 }
 
@@ -144,21 +138,13 @@ fn fmt_eps(eps: f64) -> String {
     }
 }
 
-fn workload_json(name: &str, size: u64, seed: Measurement, fast: Measurement) -> serde_json::Value {
+fn workload_json(name: &str, size: u64, m: Measurement) -> serde_json::Value {
     json!({
         "name": name,
         "size": size,
-        "seed": {
-            "events": (seed.events),
-            "secs": (seed.secs),
-            "events_per_sec": (seed.eps),
-        },
-        "fast": {
-            "events": (fast.events),
-            "secs": (fast.secs),
-            "events_per_sec": (fast.eps),
-        },
-        "speedup": (fast.eps / seed.eps),
+        "events": (m.events),
+        "secs": (m.secs),
+        "events_per_sec": (m.eps),
     })
 }
 
@@ -179,57 +165,51 @@ fn main() {
     };
 
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    println!(
-        "=== engine throughput: seed configuration vs fast hot path ({host_cpus} host CPU(s)) ===\n"
-    );
+    println!("=== engine throughput ({host_cpus} host CPU(s)) ===\n");
 
-    let chain_seed = run_chain(chain_tasks, EngineTuning::seed(), reps);
-    let chain_fast = run_chain(chain_tasks, EngineTuning::fast(), reps);
-    let gpu_seed = run_gpu(gpu_samples, EngineTuning::seed(), reps);
-    let gpu_fast = run_gpu(gpu_samples, EngineTuning::fast(), reps);
-    let chain_traced = traced(|| run_chain(chain_tasks, EngineTuning::fast(), reps));
-    let gpu_traced = traced(|| run_gpu(gpu_samples, EngineTuning::fast(), reps));
-    let chain_mon = run_chain_monitored(chain_tasks, EngineTuning::fast(), reps, false);
-    let chain_wd = run_chain_monitored(chain_tasks, EngineTuning::fast(), reps, true);
+    let chain_untraced = run_chain(chain_tasks, reps);
+    let gpu_untraced = run_gpu(gpu_samples, reps);
+    let chain_traced = traced(|| run_chain(chain_tasks, reps));
+    let gpu_traced = traced(|| run_gpu(gpu_samples, reps));
+    let chain_mon = run_chain_monitored(chain_tasks, reps, false);
+    let chain_wd = run_chain_monitored(chain_tasks, reps, true);
 
-    let row = |name: &str, seed: Measurement, fast: Measurement| {
+    let row = |name: &str, m: Measurement| {
         vec![
             name.to_owned(),
-            format!("{}", seed.events),
-            format!("{}/s", fmt_eps(seed.eps)),
-            format!("{}/s", fmt_eps(fast.eps)),
-            format!("{:.2}x", fast.eps / seed.eps),
+            format!("{}", m.events),
+            format!("{}/s", fmt_eps(m.eps)),
         ]
     };
     print_table(
-        &["workload", "events", "seed", "fast", "speedup"],
+        &["workload", "events", "throughput"],
         &[
-            row("fig4_chain", chain_seed, chain_fast),
-            row("mcm_gpu_fir", gpu_seed, gpu_fast),
+            row("fig4_chain", chain_untraced),
+            row("mcm_gpu_fir", gpu_untraced),
         ],
     );
 
     let overhead = |off: Measurement, on: Measurement| (off.eps / on.eps - 1.0) * 100.0;
-    println!("\n=== task-tracing overhead (fast engine, tracing off vs on) ===\n");
+    println!("\n=== task-tracing overhead (tracing off vs on) ===\n");
     print_table(
         &["workload", "tracing off", "tracing on", "overhead"],
         &[
             vec![
                 "fig4_chain".to_owned(),
-                format!("{}/s", fmt_eps(chain_fast.eps)),
+                format!("{}/s", fmt_eps(chain_untraced.eps)),
                 format!("{}/s", fmt_eps(chain_traced.eps)),
-                format!("{:+.1}%", overhead(chain_fast, chain_traced)),
+                format!("{:+.1}%", overhead(chain_untraced, chain_traced)),
             ],
             vec![
                 "mcm_gpu_fir".to_owned(),
-                format!("{}/s", fmt_eps(gpu_fast.eps)),
+                format!("{}/s", fmt_eps(gpu_untraced.eps)),
                 format!("{}/s", fmt_eps(gpu_traced.eps)),
-                format!("{:+.1}%", overhead(gpu_fast, gpu_traced)),
+                format!("{:+.1}%", overhead(gpu_untraced, gpu_traced)),
             ],
         ],
     );
 
-    println!("\n=== stall-watchdog overhead (fast engine + monitor, watchdog off vs on) ===\n");
+    println!("\n=== stall-watchdog overhead (engine + monitor, watchdog off vs on) ===\n");
     print_table(
         &["workload", "watchdog off", "watchdog on", "overhead"],
         &[vec![
@@ -242,11 +222,11 @@ fn main() {
 
     if smoke {
         println!("\nsmoke mode: floor {}/s", fmt_eps(SMOKE_FLOOR_EPS));
-        if chain_fast.eps < SMOKE_FLOOR_EPS || gpu_fast.eps < SMOKE_FLOOR_EPS {
+        if chain_untraced.eps < SMOKE_FLOOR_EPS || gpu_untraced.eps < SMOKE_FLOOR_EPS {
             eprintln!(
-                "FAIL: fast engine below smoke floor (chain {}/s, gpu {}/s)",
-                fmt_eps(chain_fast.eps),
-                fmt_eps(gpu_fast.eps)
+                "FAIL: engine below smoke floor (chain {}/s, gpu {}/s)",
+                fmt_eps(chain_untraced.eps),
+                fmt_eps(gpu_untraced.eps)
             );
             std::process::exit(1);
         }
@@ -265,7 +245,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("OK: fast engine clears the smoke floor with tracing and watchdog on");
+        println!("OK: engine clears the smoke floor with tracing and watchdog on");
         return;
     }
 
@@ -280,12 +260,12 @@ fn main() {
     let doc = json!({
         "bench": "engine_throughput",
         "workloads": [
-            (workload_json("fig4_chain", chain_tasks, chain_seed, chain_fast)),
-            (workload_json("mcm_gpu_fir", gpu_samples, gpu_seed, gpu_fast)),
+            (workload_json("fig4_chain", chain_tasks, chain_untraced)),
+            (workload_json("mcm_gpu_fir", gpu_samples, gpu_untraced)),
         ],
         "tracing_overhead": [
-            (tracing_json("fig4_chain", chain_fast, chain_traced)),
-            (tracing_json("mcm_gpu_fir", gpu_fast, gpu_traced)),
+            (tracing_json("fig4_chain", chain_untraced, chain_traced)),
+            (tracing_json("mcm_gpu_fir", gpu_untraced, gpu_traced)),
         ],
         "host_cpus": host_cpus,
         "watchdog_overhead": [

@@ -52,10 +52,6 @@ OPTIONS:
     --hold                  keep the simulation inspectable after it finishes
                             (terminate via the dashboard or POST /api/terminate)
     --no-monitor            run without the monitor (baseline timing)
-    --engine <fast|seed>    engine hot-path tuning: `fast` (default; ring
-                            lane, epoch tick dedup, demand polling, batched
-                            publishes) or `seed` (pre-optimization baseline,
-                            for A/B timing)
     --flush                 flush caches between kernels (MGPUSim's model)
     --inject-deadlock       enable the Case Study 2 L2 write-buffer bug
     --faults <plan.json>    install a deterministic fault-injection plan
@@ -83,7 +79,6 @@ struct Args {
     trace: bool,
     out: String,
     json: bool,
-    engine: akita::EngineTuning,
     workload: String,
     cus: Option<usize>,
     chiplets: Option<usize>,
@@ -110,7 +105,6 @@ fn parse_args() -> Args {
         trace: false,
         out: "trace.json".into(),
         json: false,
-        engine: akita::EngineTuning::fast(),
         workload: "fir".into(),
         cus: None,
         chiplets: None,
@@ -169,13 +163,6 @@ fn parse_args() -> Args {
                         .parse()
                         .unwrap_or_else(|_| die("bad --net-latency-ns")),
                 );
-            }
-            "--engine" => {
-                args.engine = match value("--engine").as_str() {
-                    "fast" => akita::EngineTuning::fast(),
-                    "seed" => akita::EngineTuning::seed(),
-                    other => die(&format!("bad --engine `{other}` (fast|seed)")),
-                };
             }
             "--config" => args.config = Some(value("--config")),
             "--dump-config" => {
@@ -277,7 +264,6 @@ fn run_analyze(args: &Args) -> ! {
     });
     let cfg = build_config(args);
     let mut platform = Platform::build(cfg);
-    platform.sim.set_tuning(args.engine);
     workload.enqueue(&mut platform.driver.borrow_mut());
     platform.start();
 
@@ -339,7 +325,6 @@ fn run_trace(args: &Args) -> ! {
     });
     let cfg = build_config(args);
     let mut platform = Platform::build(cfg);
-    platform.sim.set_tuning(args.engine);
     workload.enqueue(&mut platform.driver.borrow_mut());
     platform.start();
 
@@ -393,7 +378,6 @@ fn main() {
         cfg.chiplets, cfg.gpu.cus_per_chiplet, args.workload
     );
     let mut platform = Platform::build(cfg);
-    platform.sim.set_tuning(args.engine);
     workload.enqueue(&mut platform.driver.borrow_mut());
     platform.start();
 

@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use akita::{
-    trace, CompBase, Component, ComponentState, Ctx, Msg, MsgExt, MsgId, Port, PortId, Simulation,
-    TaskId, VTime,
+    trace, CompBase, Component, ComponentState, Ctx, IdBuildHasher, Msg, MsgExt, MsgId, Port,
+    PortId, Simulation, TaskId, VTime,
 };
 use akita_mem::{DataReadyRsp, ReadReq, WriteDoneRsp, WriteReq};
 
@@ -109,11 +109,11 @@ pub struct ComputeUnit {
     cfg: CuConfig,
     wgs: Vec<WgExec>,
     /// Outstanding access → (wg slot, wavefront index).
-    outstanding: HashMap<MsgId, (u64, usize)>,
+    outstanding: HashMap<MsgId, (u64, usize), IdBuildHasher>,
     /// Outstanding instruction fetches → (wg, wavefront).
-    fetch_outstanding: HashMap<MsgId, (u64, usize)>,
+    fetch_outstanding: HashMap<MsgId, (u64, usize), IdBuildHasher>,
     /// Outstanding scalar loads → (wg, wavefront).
-    scalar_outstanding: HashMap<MsgId, (u64, usize)>,
+    scalar_outstanding: HashMap<MsgId, (u64, usize), IdBuildHasher>,
     done_wgs: Vec<(u64, TaskId)>,
     insts_executed: u64,
     mem_accesses: u64,
@@ -149,9 +149,9 @@ impl ComputeUnit {
             dispatcher_dst: None,
             cfg,
             wgs: Vec::new(),
-            outstanding: HashMap::new(),
-            fetch_outstanding: HashMap::new(),
-            scalar_outstanding: HashMap::new(),
+            outstanding: HashMap::default(),
+            fetch_outstanding: HashMap::default(),
+            scalar_outstanding: HashMap::default(),
             done_wgs: Vec::new(),
             insts_executed: 0,
             mem_accesses: 0,

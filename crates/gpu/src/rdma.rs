@@ -13,7 +13,8 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use akita::{
-    CompBase, Component, ComponentState, Ctx, Msg, MsgExt, MsgId, Port, PortId, Simulation,
+    CompBase, Component, ComponentState, Ctx, IdBuildHasher, Msg, MsgExt, MsgId, Port, PortId,
+    Simulation,
 };
 use akita_mem::{
     msg::{as_response, AccessKind},
@@ -74,7 +75,7 @@ pub struct RdmaEngine {
     /// Remote RDMA net ports, indexed by chiplet.
     remote_rdma: Vec<PortId>,
     local_l2: Option<InterleavedLowModules>,
-    trans: HashMap<MsgId, Trans>,
+    trans: HashMap<MsgId, Trans, IdBuildHasher>,
     pending_net: Option<Box<dyn Msg>>,
     pending_l2: Option<Box<dyn Msg>>,
     pending_l1: Option<Box<dyn Msg>>,
@@ -105,7 +106,7 @@ impl RdmaEngine {
             chiplets,
             remote_rdma: Vec::new(),
             local_l2: None,
-            trans: HashMap::new(),
+            trans: HashMap::default(),
             pending_net: None,
             pending_l2: None,
             pending_l1: None,

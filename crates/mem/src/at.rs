@@ -14,8 +14,8 @@ use std::sync::{Mutex, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use akita::{
-    trace, BufferRegistry, CompBase, Component, ComponentState, Ctx, Msg, MsgExt, MsgId, Port,
-    PortId, Simulation, TaskId, VTime,
+    trace, BufferRegistry, CompBase, Component, ComponentState, Ctx, IdBuildHasher, Msg, MsgExt,
+    MsgId, Port, PortId, Simulation, TaskId, VTime,
 };
 
 use crate::msg::{as_response, AccessKind, Addr, DataReadyRsp, ReadReq, WriteDoneRsp, WriteReq};
@@ -31,7 +31,7 @@ use crate::tlb2::{TranslationReq, TranslationRsp};
 #[derive(Debug)]
 pub struct PageTable {
     page_size: u64,
-    map: Mutex<HashMap<u64, u64>>,
+    map: Mutex<HashMap<u64, u64, IdBuildHasher>>,
 }
 
 impl PageTable {
@@ -44,7 +44,7 @@ impl PageTable {
         assert!(page_size.is_power_of_two(), "page size must be 2^n");
         Rc::new(PageTable {
             page_size,
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(HashMap::default()),
         })
     }
 
@@ -90,7 +90,7 @@ impl PageTable {
 #[derive(Debug)]
 pub struct Tlb {
     capacity: usize,
-    entries: HashMap<u64, u64>, // vpage -> last_use
+    entries: HashMap<u64, u64, IdBuildHasher>, // vpage -> last_use
     clock: u64,
     hits: u64,
     misses: u64,
@@ -106,7 +106,7 @@ impl Tlb {
         assert!(capacity > 0, "TLB capacity must be positive");
         Tlb {
             capacity,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -243,7 +243,7 @@ pub struct AddressTranslator {
     /// latency, when set.
     l2tlb_dst: Option<PortId>,
     /// Requests awaiting an L2 TLB answer, by translation-request id.
-    waiting_tlb: HashMap<MsgId, WaitingOnTlb>,
+    waiting_tlb: HashMap<MsgId, WaitingOnTlb, IdBuildHasher>,
     pending_tlb: Option<Box<dyn Msg>>,
     low: Option<Box<dyn LowModuleFinder>>,
     page_table: Rc<PageTable>,
@@ -251,7 +251,7 @@ pub struct AddressTranslator {
     cfg: AtConfig,
     pipeline: VecDeque<InFlight>,
     /// Bookkeeping for forwarded requests, by downstream request id.
-    down_map: HashMap<MsgId, DownEntry>,
+    down_map: HashMap<MsgId, DownEntry, IdBuildHasher>,
     pending_down: Option<Box<dyn Msg>>,
     up_queue: SendQueue,
     translated: u64,
@@ -275,14 +275,14 @@ impl AddressTranslator {
             bottom,
             tlb_port: None,
             l2tlb_dst: None,
-            waiting_tlb: HashMap::new(),
+            waiting_tlb: HashMap::default(),
             pending_tlb: None,
             low: None,
             tlb: Tlb::new(cfg.tlb_entries),
             page_table,
             cfg,
             pipeline: VecDeque::new(),
-            down_map: HashMap::new(),
+            down_map: HashMap::default(),
             pending_down: None,
             up_queue,
             translated: 0,

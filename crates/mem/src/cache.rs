@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 use akita::{
-    trace, CompBase, Component, ComponentState, Ctx, Msg, MsgExt, MsgId, Port, PortId, Simulation,
-    TaskId, VTime,
+    trace, CompBase, Component, ComponentState, Ctx, IdBuildHasher, Msg, MsgExt, MsgId, Port,
+    PortId, Simulation, TaskId, VTime,
 };
 
 use crate::addr::{line_of, CACHE_LINE};
@@ -81,7 +81,7 @@ pub struct L1Cache {
     mshr: Mshr,
     hit_pipeline: VecDeque<HitInFlight>,
     /// Outstanding write-through writes: downstream id → waiter.
-    writes: HashMap<MsgId, Waiter>,
+    writes: HashMap<MsgId, Waiter, IdBuildHasher>,
     pending_down: VecDeque<Box<dyn Msg>>,
     up_queue: SendQueue,
     /// In-progress flush: the request to acknowledge once drained.
@@ -111,7 +111,7 @@ impl L1Cache {
             dir: Directory::new(cfg.size_bytes, cfg.ways, CACHE_LINE),
             mshr: Mshr::new(cfg.mshr_entries),
             hit_pipeline: VecDeque::new(),
-            writes: HashMap::new(),
+            writes: HashMap::default(),
             pending_down: VecDeque::new(),
             up_queue,
             flushing: None,

@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 use akita::{
-    trace, CompBase, Component, ComponentState, Ctx, Msg, MsgExt, MsgId, Port, PortId, Simulation,
-    TaskId, VTime,
+    trace, CompBase, Component, ComponentState, Ctx, IdBuildHasher, Msg, MsgExt, MsgId, Port,
+    PortId, Simulation, TaskId, VTime,
 };
 
 use crate::addr::{line_of, CACHE_LINE};
@@ -108,7 +108,7 @@ pub struct L2Cache {
     /// The "local storage"'s single eviction staging slot (see module docs).
     staging_evict: Option<Addr>,
     /// Evictions in flight to DRAM, awaiting WriteDone.
-    wb_writes: HashSet<MsgId>,
+    wb_writes: HashSet<MsgId, IdBuildHasher>,
     rsp_pipeline: VecDeque<RspInFlight>,
     pending_down: VecDeque<Box<dyn Msg>>,
     up_queue: SendQueue,
@@ -146,7 +146,7 @@ impl L2Cache {
             mshr: Mshr::new(cfg.mshr_entries),
             write_buffer: VecDeque::new(),
             staging_evict: None,
-            wb_writes: HashSet::new(),
+            wb_writes: HashSet::default(),
             rsp_pipeline: VecDeque::new(),
             pending_down: VecDeque::new(),
             up_queue,

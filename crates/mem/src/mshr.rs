@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use akita::{MsgId, PortId, TaskId, VTime};
+use akita::{IdBuildHasher, MsgId, PortId, TaskId, VTime};
 
 use crate::addr::line_of;
 use crate::msg::Addr;
@@ -44,8 +44,8 @@ pub struct MshrEntry {
 #[derive(Debug)]
 pub struct Mshr {
     capacity: usize,
-    entries: HashMap<Addr, MshrEntry>,
-    by_downstream: HashMap<MsgId, Addr>,
+    entries: HashMap<Addr, MshrEntry, IdBuildHasher>,
+    by_downstream: HashMap<MsgId, Addr, IdBuildHasher>,
 }
 
 impl Mshr {
@@ -58,8 +58,8 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Mshr {
             capacity,
-            entries: HashMap::new(),
-            by_downstream: HashMap::new(),
+            entries: HashMap::default(),
+            by_downstream: HashMap::default(),
         }
     }
 

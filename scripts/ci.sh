@@ -48,6 +48,33 @@ fi
 echo "monitor invariance gate OK ($(cat "$inv_a"))"
 rm -f "$inv_a" "$inv_b"
 
+echo "==> scheduler invariance (every workload matches its recorded serial reference)"
+# The event queue and tick dedup decide how fast the next event is found,
+# never which event it is. Every workload on the 4-chiplet MCM-GPU must
+# dispatch exactly the event count and end at exactly the virtual time
+# recorded under `serial_reference` in results/par_removal.json.
+cargo build --offline --release -q -p akita-rtm-cli --bin rtm-sim
+python3 - <<'EOF'
+import json, re, subprocess, sys
+ref = json.load(open("results/par_removal.json"))["serial_reference"]["workloads"]
+bad = []
+for name, want in ref.items():
+    out = subprocess.run(
+        ["cargo", "run", "--offline", "--release", "-q", "-p", "akita-rtm-cli",
+         "--bin", "rtm-sim", "--", "run", "--workload", name, "--chiplets", "4",
+         "--no-monitor"],
+        capture_output=True, text=True, check=True).stdout
+    m = re.search(r"^done: (\d+) events, (\d+)ns of virtual time", out, re.M)
+    got = (int(m.group(1)), int(m.group(2))) if m else None
+    exp = (want["events"], want["virtual_end_ns"])
+    print(f"{name}: {got} (reference {exp})")
+    if got != exp:
+        bad.append(name)
+if bad:
+    sys.exit(f"FAIL: {', '.join(bad)} diverged from the serial reference")
+print(f"scheduler invariance gate OK ({len(ref)} workloads)")
+EOF
+
 echo "==> fault-injection smoke (determinism, clean drop drain, hang diagnosis)"
 cargo run --offline --release -q -p rtm-bench --bin fault_smoke
 
